@@ -195,9 +195,10 @@ def _make_result(
 
 def _run_jobs(fn, payloads: list, workers: int) -> list:
     if workers > 1 and len(payloads) > 1:
-        chunk = max(1, len(payloads) // (workers * 4))
+        # One job at a time: job costs vary several-fold across cells, and
+        # chunks leave a worker idle at the end.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, payloads, chunksize=chunk))
+            return list(pool.map(fn, payloads))
     return [fn(p) for p in payloads]
 
 

@@ -9,6 +9,7 @@ its one-step-ahead target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,10 +138,11 @@ def gen_mackey_glass(
     if not np.isfinite(y).all():
         raise ArithmeticError("Mackey-Glass integration produced non-finite state")
     samples = y[m :: params.sample_every][params.transient_discard :]
+    # Compact copies: slices of ``y`` would keep the whole inner grid alive.
     series = samples[: length + 1]
     return TaskData(
-        inputs=series[:-1],
-        targets=series[1:],
+        inputs=series[:-1].copy(),
+        targets=series[1:].copy(),
         meta={"task": "mackey_glass", "seed": seed},
     )
 
@@ -160,16 +162,27 @@ def integrate_mackey_glass(
     Delayed values at stage midpoints come from cubic Hermite interpolation
     between stored grid points, which keeps the scheme fourth order; the
     two on-grid delayed reads are exact index lookups.
+
+    The loop runs on Python floats but performs the same operations on the
+    same operands as numpy float64 scalar arithmetic, so every output bit
+    matches it, including on overflow (y**n to inf), division by zero and
+    NaN (a negative base with a fractional exponent): those rare delayed
+    terms are evaluated on numpy scalars.
     """
-    h = params.inner_step
+    h = float(params.inner_step)
     m = int(round(params.tau / h))
     history = np.asarray(history, dtype=float)
     if history.shape != (m + 1,):
         raise ValueError(f"history must have {m + 1} entries")
-    a, b, p = params.a, params.b, params.n_exp
+    a, b, p = float(params.a), float(params.b), float(params.n_exp)
+    # math.pow calls the C pow numpy uses, and raises where numpy would
+    # return inf or nan, as does a float division by zero.
+    pow_ = math.pow
+    numpy_only = (OverflowError, ValueError, ZeroDivisionError)
 
-    def rhs(y_now: float, y_del: float) -> float:
-        return a * y_del / (1.0 + y_del**p) + b * y_now
+    def delayed_numpy(y_del: float) -> float:
+        y_del = np.float64(y_del)
+        return float(a * y_del / (1.0 + y_del**p))
 
     y = np.empty(m + 1 + n_steps)
     f = np.empty(m + 1 + n_steps)
@@ -181,23 +194,38 @@ def integrate_mackey_glass(
     # The prescribed history and the equation generally disagree about the
     # slope at t = 0; keep both one-sided values so interpolation on either
     # side of the junction stays fourth order.
-    f_left_junction = f[m]
-    f[m] = rhs(y[m], y[0])
+    f_left_junction = float(f[m])
+    # Memoryviews read and write Python floats, not numpy scalars.
+    yv, fv = y.data, f.data
+    y0, yj = yv[0], yv[m]
+    # rhs(y_now, y_del) = a*y_del/(1+y_del**p) + b*y_now. Each grid
+    # point's delayed term is computed once: at step j it serves k4 and
+    # f[j+1], and f[j] = rhs(y[j], y[j-m]) is exactly k1.
+    fj = delayed_numpy(y0) + b * yj
+    fv[m] = fj
+    half_h, eighth_h, sixth_h = 0.5 * h, 0.125 * h, h / 6.0
 
     for j in range(m, m + n_steps):
         left = j - m
-        y0, f0 = y[left], f[left]
-        y1 = y[left + 1]
-        f1 = f_left_junction if left + 1 == m else f[left + 1]
-        # Hermite midpoint of the delayed interval.
-        y_mid = 0.5 * (y0 + y1) + 0.125 * h * (f0 - f1)
-        yj = y[j]
-        k1 = rhs(yj, y0)
-        k2 = rhs(yj + 0.5 * h * k1, y_mid)
-        k3 = rhs(yj + 0.5 * h * k2, y_mid)
-        k4 = rhs(yj + h * k3, y1)
-        y[j + 1] = yj + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        f[j + 1] = rhs(y[j + 1], y1)
+        f0 = fv[left]
+        y1 = yv[left + 1]
+        f1 = f_left_junction if left + 1 == m else fv[left + 1]
+        # Hermite midpoint of the delayed interval, shared by k2 and k3.
+        y_mid = 0.5 * (y0 + y1) + eighth_h * (f0 - f1)
+        try:
+            g1 = a * y1 / (1.0 + pow_(y1, p))
+            g_mid = a * y_mid / (1.0 + pow_(y_mid, p))
+        except numpy_only:
+            g1 = delayed_numpy(y1)
+            g_mid = delayed_numpy(y_mid)
+        k2 = g_mid + b * (yj + half_h * fj)
+        k3 = g_mid + b * (yj + half_h * k2)
+        k4 = g1 + b * (yj + h * k3)
+        yj = yj + sixth_h * (fj + 2.0 * k2 + 2.0 * k3 + k4)
+        fj = g1 + b * yj
+        yv[j + 1] = yj
+        fv[j + 1] = fj
+        y0 = y1
     return y
 
 

@@ -42,6 +42,9 @@ from kuramoto_rc.tasks import (
 WORKERS = min(8, os.cpu_count() or 1)
 MASTER = 20240817
 
+# The module takes minutes; `pytest -m "not acceptance"` runs everything else.
+pytestmark = pytest.mark.acceptance
+
 
 def report(number: int, name: str, ok: bool, detail: str) -> bool:
     print(f"ACCEPTANCE {number} ({name}): {'PASS' if ok else 'FAIL'} - {detail}")

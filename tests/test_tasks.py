@@ -68,6 +68,109 @@ class TestNarma10:
             gen_narma10(10)
 
 
+def reference_integrate(history, history_derivs, n_steps, params):
+    """The closure-based integrator on numpy scalars, kept as the oracle."""
+    h = params.inner_step
+    m = int(round(params.tau / h))
+    history = np.asarray(history, dtype=float)
+    a, b, p = params.a, params.b, params.n_exp
+
+    def rhs(y_now, y_del):
+        return a * y_del / (1.0 + y_del**p) + b * y_now
+
+    y = np.empty(m + 1 + n_steps)
+    f = np.empty(m + 1 + n_steps)
+    y[: m + 1] = history
+    if history_derivs is not None:
+        f[: m + 1] = np.asarray(history_derivs, dtype=float)
+    else:
+        f[: m + 1] = 0.0
+    f_left_junction = f[m]
+    f[m] = rhs(y[m], y[0])
+    for j in range(m, m + n_steps):
+        left = j - m
+        y0, f0 = y[left], f[left]
+        y1 = y[left + 1]
+        f1 = f_left_junction if left + 1 == m else f[left + 1]
+        y_mid = 0.5 * (y0 + y1) + 0.125 * h * (f0 - f1)
+        yj = y[j]
+        k1 = rhs(yj, y0)
+        k2 = rhs(yj + 0.5 * h * k1, y_mid)
+        k3 = rhs(yj + 0.5 * h * k2, y_mid)
+        k4 = rhs(yj + h * k3, y1)
+        y[j + 1] = yj + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        f[j + 1] = rhs(y[j + 1], y1)
+    return y
+
+
+class TestMackeyGlassMatchesReference:
+    """The float loop reproduces the numpy-scalar integrator bit for bit."""
+
+    @staticmethod
+    def both(history, derivs, n_steps, params):
+        with np.errstate(all="ignore"):
+            expected = reference_integrate(history, derivs, n_steps, params)
+            got = integrate_mackey_glass(history, derivs, n_steps, params)
+        return expected, got
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_generator_path(self, seed):
+        # gen_mackey_glass's history and step count, checked on its output
+        p = MackeyGlassParams()
+        m = int(round(p.tau / p.inner_step))
+        length = 300
+        history = np.random.default_rng(seed).uniform(0.1, 1.3, m + 1)
+        n_inner = (p.transient_discard + length + 1) * p.sample_every
+        expected = reference_integrate(history, None, n_inner, p)
+        samples = expected[m :: p.sample_every][p.transient_discard :]
+        data = gen_mackey_glass(length, seed=seed)
+        assert np.array_equal(data.inputs, samples[:length])
+        assert np.array_equal(data.targets, samples[1 : length + 1])
+        assert np.array_equal(
+            integrate_mackey_glass(history, None, n_inner, p), expected
+        )
+
+    @pytest.mark.parametrize(
+        "params",
+        [MackeyGlassParams()]
+        + [
+            MackeyGlassParams(tau=5, n_exp=n_exp, a=0.25, b=-0.12)
+            for n_exp in (9.65, 2.0, 0.5)
+        ],
+    )
+    def test_history_with_derivatives(self, params):
+        # non-None derivatives take the junction branch
+        m = int(round(params.tau / params.inner_step))
+        rng = np.random.default_rng(3)
+        history = rng.uniform(0.1, 1.3, m + 1)
+        derivs = rng.normal(size=m + 1)
+        expected, got = self.both(history, derivs, 3000, params)
+        assert np.all(np.isfinite(expected))
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "history, params, finite",
+        [
+            # y**n overflows to inf, so the delayed term is 0
+            (np.full(171, 1e40), MackeyGlassParams(), True),
+            # a negative base with a fractional exponent gives nan
+            (np.full(51, -0.5), MackeyGlassParams(tau=5, n_exp=9.65), False),
+            # the same at a stage midpoint only: y1 = 0.2, y_mid = -0.4
+            (
+                np.resize([-1.0, 0.2], 51),
+                MackeyGlassParams(tau=5, n_exp=9.65),
+                False,
+            ),
+            # 1 + (-1)**3 = 0 divides by zero
+            (np.full(51, -1.0), MackeyGlassParams(tau=5, n_exp=3), False),
+        ],
+    )
+    def test_edge_histories(self, history, params, finite):
+        expected, got = self.both(history, None, 500, params)
+        assert bool(np.isfinite(expected[-1])) is finite
+        assert np.array_equal(got, expected, equal_nan=True)
+
+
 class TestMackeyGlass:
     def test_zero_history_stays_zero(self):
         p = MackeyGlassParams()
@@ -115,6 +218,14 @@ class TestMackeyGlass:
         a = gen_mackey_glass(100, seed=2)
         b = gen_mackey_glass(100, seed=2)
         assert np.array_equal(a.inputs, b.inputs)
+
+    def test_series_own_compact_memory(self):
+        # views into the 10x finer inner grid would pin all of it
+        data = gen_mackey_glass(400, seed=2)
+        for arr in (data.inputs, data.targets):
+            assert arr.flags.c_contiguous
+            assert arr.flags.owndata
+            assert arr.nbytes == 400 * arr.itemsize
 
     def test_chaotic_attractor_not_short_periodic(self):
         # tau = 17 is chaotic: no exact period up to 500 samples
