@@ -15,8 +15,9 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -79,30 +80,35 @@ TRIAL_DEFAULTS = {
 KEY_ALIASES = {"lambda": "lam", "rho": "spectral_target"}
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run settings; every field has a default."""
+class _RunConfigMethods:
+    """Validation and derived values of a RunConfig."""
 
-    command: str = "run"
-    task: str = "narma10"
-    n: int = 100
-    density: float = 0.05
-    spectral_target: float = 0.3
-    lam: float = 4.0
-    beta: float = -float(np.pi / 2)
-    epsilon: float = 0.1
-    dt: float = 1.0
-    frequency_scale: float = 0.03
-    len_adev: int = 100
-    len_train: int = 900
-    len_test: int = 500
-    ridge_alpha: float = 1e-3
-    adaptive: bool = True
-    use_bias: bool = True
-    use_trig_features: bool = True
-    center_phases: bool = True
-    extra_train_after_dev: bool = False
-    seed: int = 0
+    def __post_init__(self):
+        if not self.outdir:
+            self.outdir = os.environ.get(OUTDIR_ENV, "results")
+        if self.command not in COMMANDS:
+            raise ValueError(f"unknown command {self.command!r}; one of {COMMANDS}")
+        if self.format not in ("csv", "json"):
+            raise ValueError("format must be 'csv' or 'json'")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
+        if self.trials is not None and self.trials < 1:
+            raise ValueError("trials must be at least 1")
+
+    def reservoir_config(self, seed: int | None = None) -> ReservoirConfig:
+        values = {f.name: getattr(self, f.name) for f in fields(ReservoirConfig)}
+        if seed is not None:
+            values["seed"] = seed
+        return ReservoirConfig(**values)
+
+    def resolved_trials(self) -> int:
+        return self.trials if self.trials is not None else TRIAL_DEFAULTS[self.command]
+
+
+@dataclass
+class _StudyOptions:
+    """Study and output settings, listed after the reservoir fields."""
+
     trials: int | None = None
     workers: int = 1
     lambda_grid: list = field(default_factory=default_lambda_grid)
@@ -131,42 +137,27 @@ class RunConfig:
     outdir: str = ""
     format: str = "csv"
 
-    def __post_init__(self):
-        if not self.outdir:
-            self.outdir = os.environ.get(OUTDIR_ENV, "results")
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}; one of {COMMANDS}")
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be 'csv' or 'json'")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.trials is not None and self.trials < 1:
-            raise ValueError("trials must be at least 1")
 
-    def reservoir_config(self, seed: int | None = None) -> ReservoirConfig:
-        return ReservoirConfig(
-            n=self.n,
-            density=self.density,
-            spectral_target=self.spectral_target,
-            lam=self.lam,
-            beta=self.beta,
-            epsilon=self.epsilon,
-            dt=self.dt,
-            frequency_scale=self.frequency_scale,
-            len_adev=self.len_adev,
-            len_train=self.len_train,
-            len_test=self.len_test,
-            ridge_alpha=self.ridge_alpha,
-            adaptive=self.adaptive,
-            use_bias=self.use_bias,
-            use_trig_features=self.use_trig_features,
-            center_phases=self.center_phases,
-            extra_train_after_dev=self.extra_train_after_dev,
-            seed=self.seed if seed is None else seed,
-        )
+def _field_specs(cls) -> list[tuple]:
+    return [
+        (f.name, f.type, field(default=f.default, default_factory=f.default_factory))
+        for f in fields(cls)
+    ]
 
-    def resolved_trials(self) -> int:
-        return self.trials if self.trials is not None else TRIAL_DEFAULTS[self.command]
+
+# The command and task, every ReservoirConfig field (same names and
+# defaults), then the study options; config.txt lists them in this order.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("command", str, "run"), ("task", str, "narma10")]
+    + _field_specs(ReservoirConfig)
+    + _field_specs(_StudyOptions),
+    bases=(_RunConfigMethods,),
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Fully resolved run settings; every field has a default.",
+    },
+)
 
 
 def _parse_bool(text: str) -> bool:
@@ -214,27 +205,15 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return (parts[0], parts[1])
 
 
+_TYPE_PARSERS = {int: int, float: float, bool: _parse_bool}
+
 _PARSERS = {
     "command": str,
     "task": str,
-    "n": int,
-    "density": float,
-    "spectral_target": float,
-    "lam": float,
-    "beta": float,
-    "epsilon": float,
-    "dt": float,
-    "frequency_scale": float,
-    "len_adev": int,
-    "len_train": int,
-    "len_test": int,
-    "ridge_alpha": float,
-    "adaptive": _parse_bool,
-    "use_bias": _parse_bool,
-    "use_trig_features": _parse_bool,
-    "center_phases": _parse_bool,
-    "extra_train_after_dev": _parse_bool,
-    "seed": int,
+    **{
+        name: _TYPE_PARSERS[kind]
+        for name, kind in get_type_hints(ReservoirConfig).items()
+    },
     "trials": int,
     "workers": int,
     "lambda_grid": _parse_float_list,
@@ -348,7 +327,9 @@ def write_result(
     list of files written.
     """
     recomputed = result.recompute_aggregates()
-    if recomputed != result.aggregates:
+    # Compared by repr, so that the NaN statistics of a fully faulted cell
+    # match their recomputation.
+    if repr(recomputed) != repr(result.aggregates):
         raise RuntimeError("stored aggregates do not match recomputation")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -416,11 +397,12 @@ def _single_run_result(cfg: RunConfig) -> ExperimentResult:
     net_seed = derive_seed(cfg.seed, _NET_STREAM, 0, 0)
     task_seed = derive_seed(cfg.seed, _TASK_STREAM, 0)
     rc = cfg.reservoir_config(seed=net_seed)
-    span = rc.len_train + rc.len_test + (
-        rc.len_adev if rc.extra_train_after_dev else 0
-    )
     data = make_task(
-        cfg.task, span, seed=task_seed, column=cfg.column, normalize=cfg.normalize
+        cfg.task,
+        rc.train_span + rc.len_test,
+        seed=task_seed,
+        column=cfg.column,
+        normalize=cfg.normalize,
     )
     result = run_pipeline(rc, data)
     r, _ = order_parameter(result.dev_phases)
@@ -435,29 +417,17 @@ def _single_run_result(cfg: RunConfig) -> ExperimentResult:
         "order_r": r,
         "fault": "",
     }
-    columns = [
-        "cell_index",
-        "lam",
-        "trial",
-        "net_seed",
-        "task_seed",
-        "test_mse",
-        "train_mse",
-        "order_r",
-        "fault",
-    ]
-    offset = rc.len_train + (rc.len_adev if rc.extra_train_after_dev else 0)
     prediction_rows = [
         {
             "step": i,
-            "target": float(data.targets[offset + i]),
+            "target": float(data.targets[rc.train_span + i]),
             "prediction": float(result.predictions[i]),
         }
         for i in range(rc.len_test)
     ]
     return _make_result(
         [record],
-        columns,
+        list(record),
         group_columns=["cell_index", "lam"],
         value_columns=["test_mse", "train_mse", "order_r"],
         tables={

@@ -10,6 +10,7 @@ aggregate rows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -17,16 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .metrics import beta_fit, matrix_distance, memory_capacity, weight_histogram
-from .network import (
-    DEFAULT_SETTINGS,
-    OscillatorNetwork,
-    _rescale_warm,
-    coupling_step,
-    init_network,
-    order_parameter,
-    phase_step,
-    reinitialize_weights,
-)
+from .network import develop, order_parameter, reinitialize_weights
 from .reservoir import ReservoirConfig, run_pipeline
 from .tasks import make_task
 
@@ -35,6 +27,9 @@ _TASK_STREAM = 1
 _NET_STREAM = 2
 _MC_STREAM = 3
 _VALUE_STREAM = 4
+
+# Value columns of a pipeline job's record.
+_PIPELINE_VALUES = ("test_mse", "train_mse", "order_r")
 
 _CONFIG_FIELDS = {f.name for f in fields(ReservoirConfig)}
 
@@ -193,56 +188,67 @@ def _make_result(
     )
 
 
+def _guarded(fn, payload) -> dict:
+    """Run one job; an exception becomes the job's fault message."""
+    try:
+        return fn(payload)
+    except Exception as exc:
+        return {"fault": f"{type(exc).__name__}: {exc}"}
+
+
 def _run_jobs(fn, payloads: list, workers: int) -> list:
+    job = functools.partial(_guarded, fn)
     if workers > 1 and len(payloads) > 1:
         # One job at a time: job costs vary several-fold across cells, and
         # chunks leave a worker idle at the end.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, payloads))
-    return [fn(p) for p in payloads]
+            return list(pool.map(job, payloads))
+    return [job(p) for p in payloads]
 
 
-def _task_length(cfg: ReservoirConfig) -> int:
-    span = cfg.len_train + cfg.len_test
-    if cfg.extra_train_after_dev:
-        span += cfg.len_adev
-    return span
+def _records(keys: list[dict], outcomes: list[dict], values) -> list[dict]:
+    """One record per job: its key, then its outcome. The value columns of
+    a faulted job are NaN."""
+    nan = dict.fromkeys(values, float("nan"))
+    return [{**key, **nan, "fault": "", **out} for key, out in zip(keys, outcomes)]
+
+
+def _pipeline_payload(
+    spec: SweepSpec, index: int, trial: int, overrides: dict, **extra
+) -> dict:
+    """Job of one pipeline run: the base config with ``overrides``, its
+    network seeded by (index, trial) and its task by the trial alone."""
+    cfg = replace(
+        spec.base,
+        **overrides,
+        seed=derive_seed(spec.master_seed, _NET_STREAM, index, trial),
+    )
+    return {
+        "cfg": asdict(cfg),
+        "task": spec.task,
+        "task_seed": derive_seed(spec.master_seed, _TASK_STREAM, trial),
+        "task_kwargs": spec.task_kwargs,
+        **extra,
+    }
 
 
 def _pipeline_job(payload: dict) -> dict:
     cfg = ReservoirConfig(**payload["cfg"])
-    record: dict = {
-        "test_mse": float("nan"),
-        "train_mse": float("nan"),
-        "order_r": float("nan"),
-        "fault": "",
-    }
-    try:
-        data = make_task(
-            payload["task"],
-            _task_length(cfg),
-            seed=payload["task_seed"],
-            **payload.get("task_kwargs", {}),
+    data = make_task(
+        payload["task"],
+        cfg.train_span + cfg.len_test,
+        seed=payload["task_seed"],
+        **payload["task_kwargs"],
+    )
+    result = run_pipeline(cfg, data)
+    r, _ = order_parameter(result.dev_phases)
+    record = {"test_mse": result.test_mse, "train_mse": result.train_mse, "order_r": r}
+    if "k_max" in payload:
+        curve = memory_capacity(
+            cfg, result.network, k_max=payload["k_max"], seed=payload["mc_seed"]
         )
-        result = run_pipeline(cfg, data)
-        r, _ = order_parameter(result.dev_phases)
-        record.update(
-            test_mse=result.test_mse, train_mse=result.train_mse, order_r=r
-        )
-        if "k_max" in payload:
-            curve = memory_capacity(
-                cfg,
-                result.network,
-                k_max=payload["k_max"],
-                seed=payload["mc_seed"],
-            )
-            record["mc_total"] = curve.total
-            record["mc_curve"] = curve.coefficients
-    except Exception as exc:
-        record["fault"] = f"{type(exc).__name__}: {exc}"
-        if "k_max" in payload:
-            record["mc_total"] = float("nan")
-            record["mc_curve"] = np.full(payload["k_max"], np.nan)
+        record["mc_total"] = curve.total
+        record["mc_curve"] = curve.coefficients
     return record
 
 
@@ -253,44 +259,33 @@ def run_grid_sweep(spec: SweepSpec) -> ExperimentResult:
     coupling strength and the spectral-radius target). Per-cell faults are
     recorded in the result rather than aborting the sweep.
     """
-    cells = spec.cells()
     axis_names = list(spec.axes.keys())
     payloads = []
     keys = []
-    for ci, cell in enumerate(cells):
+    for ci, cell in enumerate(spec.cells()):
         for t in range(spec.trials):
-            cfg = replace(
-                spec.base,
-                **cell,
-                seed=derive_seed(spec.master_seed, _NET_STREAM, ci, t),
-            )
-            payloads.append(
+            payloads.append(_pipeline_payload(spec, ci, t, cell))
+            keys.append(
                 {
-                    "cfg": asdict(cfg),
-                    "task": spec.task,
-                    "task_seed": derive_seed(spec.master_seed, _TASK_STREAM, t),
-                    "task_kwargs": spec.task_kwargs,
+                    "cell_index": ci,
+                    **cell,
+                    "trial": t,
+                    "net_seed": payloads[-1]["cfg"]["seed"],
+                    "task_seed": payloads[-1]["task_seed"],
                 }
             )
-            keys.append((ci, cell, t, cfg.seed, payloads[-1]["task_seed"]))
     outcomes = _run_jobs(_pipeline_job, payloads, spec.workers)
-    records = []
-    for (ci, cell, t, net_seed, task_seed), out in zip(keys, outcomes):
-        rec = {"cell_index": ci, **cell, "trial": t}
-        rec["net_seed"] = net_seed
-        rec["task_seed"] = task_seed
-        rec.update(out)
-        records.append(rec)
+    records = _records(keys, outcomes, _PIPELINE_VALUES)
     columns = (
         ["cell_index"]
         + axis_names
-        + ["trial", "net_seed", "task_seed", "test_mse", "train_mse", "order_r", "fault"]
+        + ["trial", "net_seed", "task_seed", *_PIPELINE_VALUES, "fault"]
     )
     return _make_result(
         records,
         columns,
         group_columns=["cell_index"] + axis_names,
-        value_columns=["test_mse", "train_mse", "order_r"],
+        value_columns=list(_PIPELINE_VALUES),
     )
 
 
@@ -313,61 +308,29 @@ def run_mc_study(
     payloads = []
     keys = []
     for ni, (lam, rho) in enumerate(sample_nodes):
+        node = {"lam": lam, "spectral_target": rho}
         for t in range(spec.trials):
-            cfg = replace(
-                spec.base,
-                lam=lam,
-                spectral_target=rho,
-                seed=derive_seed(spec.master_seed, _NET_STREAM, ni, t),
-            )
             payloads.append(
-                {
-                    "cfg": asdict(cfg),
-                    "task": spec.task,
-                    "task_seed": derive_seed(spec.master_seed, _TASK_STREAM, t),
-                    "task_kwargs": spec.task_kwargs,
-                    "k_max": k_max,
-                    "mc_seed": derive_seed(spec.master_seed, _MC_STREAM, ni, t),
-                }
-            )
-            keys.append((ni, lam, rho, t))
-    outcomes = _run_jobs(_pipeline_job, payloads, spec.workers)
-    records = []
-    curve_rows = []
-    for (ni, lam, rho, t), out in zip(keys, outcomes):
-        curve = out.pop("mc_curve")
-        rec = {"node_index": ni, "lam": lam, "spectral_target": rho, "trial": t}
-        rec.update(out)
-        records.append(rec)
-        if not out["fault"]:
-            for k, coeff in enumerate(curve, start=1):
-                curve_rows.append(
-                    {
-                        "node_index": ni,
-                        "lam": lam,
-                        "spectral_target": rho,
-                        "trial": t,
-                        "delay": k,
-                        "coefficient": float(coeff),
-                    }
+                _pipeline_payload(
+                    spec,
+                    ni,
+                    t,
+                    node,
+                    k_max=k_max,
+                    mc_seed=derive_seed(spec.master_seed, _MC_STREAM, ni, t),
                 )
-    columns = [
-        "node_index",
-        "lam",
-        "spectral_target",
-        "trial",
-        "test_mse",
-        "train_mse",
-        "order_r",
-        "mc_total",
-        "fault",
+            )
+            keys.append({"node_index": ni, **node, "trial": t})
+    outcomes = _run_jobs(_pipeline_job, payloads, spec.workers)
+    records = _records(keys, outcomes, _PIPELINE_VALUES + ("mc_total",))
+    curve_rows = [
+        {**key, "delay": k, "coefficient": float(coeff)}
+        for key, rec in zip(keys, records)
+        for k, coeff in enumerate(rec.pop("mc_curve", ()), start=1)
     ]
-    tables = {
-        "mc_curve": (
-            ["node_index", "lam", "spectral_target", "trial", "delay", "coefficient"],
-            curve_rows,
-        )
-    }
+    key_columns = ["node_index", "lam", "spectral_target", "trial"]
+    columns = key_columns + [*_PIPELINE_VALUES, "mc_total", "fault"]
+    tables = {"mc_curve": (key_columns + ["delay", "coefficient"], curve_rows)}
     return _make_result(
         records,
         columns,
@@ -390,43 +353,14 @@ def run_sparsity_sweep(spec: SweepSpec) -> ExperimentResult:
     keys = []
     for di, density in enumerate(densities):
         for adaptive in (True, False):
+            cell = {"density": density, "adaptive": adaptive}
             for t in range(spec.trials):
-                cfg = replace(
-                    spec.base,
-                    density=density,
-                    adaptive=adaptive,
-                    seed=derive_seed(spec.master_seed, _NET_STREAM, di, t),
-                )
-                payloads.append(
-                    {
-                        "cfg": asdict(cfg),
-                        "task": spec.task,
-                        "task_seed": derive_seed(spec.master_seed, _TASK_STREAM, t),
-                        "task_kwargs": spec.task_kwargs,
-                    }
-                )
-                keys.append((di, density, adaptive, t))
+                payloads.append(_pipeline_payload(spec, di, t, cell))
+                keys.append({"density_index": di, **cell, "trial": t})
     outcomes = _run_jobs(_pipeline_job, payloads, spec.workers)
-    records = []
-    for (di, density, adaptive, t), out in zip(keys, outcomes):
-        rec = {
-            "density_index": di,
-            "density": density,
-            "adaptive": adaptive,
-            "trial": t,
-        }
-        rec.update(out)
-        records.append(rec)
-    columns = [
-        "density_index",
-        "density",
-        "adaptive",
-        "trial",
-        "test_mse",
-        "train_mse",
-        "order_r",
-        "fault",
-    ]
+    records = _records(keys, outcomes, _PIPELINE_VALUES)
+    columns = ["density_index", "density", "adaptive", "trial"]
+    columns += [*_PIPELINE_VALUES, "fault"]
     return _make_result(
         records,
         columns,
@@ -435,53 +369,26 @@ def run_sparsity_sweep(spec: SweepSpec) -> ExperimentResult:
     )
 
 
-def _develop_inputs(spec: SweepSpec, cfg: ReservoirConfig, steps: int) -> np.ndarray:
+def _develop_inputs(spec: SweepSpec, steps: int) -> np.ndarray:
+    """The first ``steps`` inputs of the spec's task, shared by every
+    develop-only job of a study."""
     data = make_task(
         spec.task,
         max(steps + 1, 11),
         seed=derive_seed(spec.master_seed, _TASK_STREAM, 0),
         **spec.task_kwargs,
     )
-    return data.inputs
+    return data.inputs[:steps]
 
 
-def _develop_only(
-    cfg: ReservoirConfig,
-    inputs: np.ndarray,
-    net: OscillatorNetwork,
-    steps: int,
-    on_step=None,
-) -> OscillatorNetwork:
-    """Run the development stage alone: per step, a phase update, a
-    coupling update, and a rescale to the target radius."""
-    warm = None
-    for i in range(steps):
-        phase_step(net, inputs[i])
-        coupling_step(net)
-        warm = _rescale_warm(net, cfg.spectral_target, DEFAULT_SETTINGS, warm)
-        if on_step is not None:
-            on_step(i + 1, net)
-    return net
-
-
-def _astringency_job(payload: dict) -> np.ndarray:
+def _astringency_job(payload: dict) -> dict:
     cfg = ReservoirConfig(**payload["cfg"])
-    base = init_network(
-        cfg.n,
-        cfg.density,
-        payload["mask_seed"],
-        global_coupling=cfg.lam,
-        character_parameter=cfg.beta,
-        adaptation_rate=cfg.epsilon,
-        timestep=cfg.dt,
-        frequency_scale=cfg.frequency_scale,
-    )
     net = reinitialize_weights(
-        base, payload["value_seed"], spectral_target=cfg.spectral_target
+        cfg.build_network(), payload["value_seed"], spectral_target=cfg.spectral_target
     )
-    inputs = np.asarray(payload["inputs"])
-    _develop_only(cfg, inputs, net, payload["steps"])
-    return net.coupling
+    initial = net.coupling
+    develop(net, payload["inputs"], cfg.spectral_target)
+    return {"initial": initial, "developed": net.coupling}
 
 
 def run_astringency(spec: SweepSpec, beta: float = 0.0) -> ExperimentResult:
@@ -499,90 +406,49 @@ def run_astringency(spec: SweepSpec, beta: float = 0.0) -> ExperimentResult:
     if densities is None:
         raise ValueError("astringency needs a 'density' axis")
     cfg0 = replace(spec.base, beta=beta)
-    steps = max(cfg0.len_adev - 1, 0)
-    inputs = _develop_inputs(spec, cfg0, steps)
-
-    records = []
+    inputs = _develop_inputs(spec, max(cfg0.len_adev - 1, 0))
     payloads = []
-    keys = []
-    initial: dict[tuple[int, int], np.ndarray] = {}
     for di, density in enumerate(densities):
         mask_seed = derive_seed(spec.master_seed, _NET_STREAM, di, 0)
         cfg = replace(cfg0, density=density, seed=mask_seed)
-        base = init_network(
-            cfg.n,
-            cfg.density,
-            mask_seed,
-            global_coupling=cfg.lam,
-            character_parameter=cfg.beta,
-            adaptation_rate=cfg.epsilon,
-            timestep=cfg.dt,
-            frequency_scale=cfg.frequency_scale,
-        )
         for t in range(spec.trials):
-            value_seed = derive_seed(spec.master_seed, _VALUE_STREAM, di, t)
-            net = reinitialize_weights(
-                base, value_seed, spectral_target=cfg.spectral_target
-            )
-            initial[(di, t)] = net.coupling
             payloads.append(
                 {
                     "cfg": asdict(cfg),
-                    "mask_seed": mask_seed,
-                    "value_seed": value_seed,
-                    "inputs": inputs[:steps],
-                    "steps": steps,
+                    "value_seed": derive_seed(spec.master_seed, _VALUE_STREAM, di, t),
+                    "inputs": inputs,
                 }
             )
-            keys.append((di, density, t))
-    developed_list = _run_jobs(_astringency_job, payloads, spec.workers)
-    developed = {
-        (di, t): K for (di, density, t), K in zip(keys, developed_list)
-    }
-    for di, density in enumerate(densities):
-        K1_init = initial[(di, 0)]
-        K1_dev = developed[(di, 0)]
-        for t in range(1, spec.trials):
-            records.append(
-                {
-                    "density_index": di,
-                    "density": density,
-                    "trial": t,
-                    "initial_signed": matrix_distance(
-                        initial[(di, t)], K1_init, "signed"
-                    ),
-                    "initial_absolute": matrix_distance(
-                        initial[(di, t)], K1_init, "absolute"
-                    ),
-                    "developed_signed": matrix_distance(
-                        developed[(di, t)], K1_dev, "signed"
-                    ),
-                    "developed_absolute": matrix_distance(
-                        developed[(di, t)], K1_dev, "absolute"
-                    ),
-                    "fault": "",
-                }
-            )
-    columns = [
-        "density_index",
-        "density",
-        "trial",
-        "initial_signed",
-        "initial_absolute",
-        "developed_signed",
-        "developed_absolute",
-        "fault",
+    outcomes = _run_jobs(_astringency_job, payloads, spec.workers)
+    distances = [
+        f"{stage}_{mode}"
+        for stage in ("initial", "developed")
+        for mode in ("signed", "absolute")
     ]
+    records = []
+    for di, density in enumerate(densities):
+        reference, *others = outcomes[di * spec.trials : (di + 1) * spec.trials]
+        for t, out in enumerate(others, start=1):
+            rec = {"density_index": di, "density": density, "trial": t}
+            rec.update(dict.fromkeys(distances, float("nan")))
+            if "fault" in reference:
+                rec["fault"] = f"reference trial: {reference['fault']}"
+            elif "fault" in out:
+                rec["fault"] = out["fault"]
+            else:
+                rec["fault"] = ""
+                for stage in ("initial", "developed"):
+                    for mode in ("signed", "absolute"):
+                        rec[f"{stage}_{mode}"] = matrix_distance(
+                            out[stage], reference[stage], mode
+                        )
+            records.append(rec)
+    columns = ["density_index", "density", "trial", *distances, "fault"]
     return _make_result(
         records,
         columns,
         group_columns=["density_index", "density"],
-        value_columns=[
-            "initial_signed",
-            "initial_absolute",
-            "developed_signed",
-            "developed_absolute",
-        ],
+        value_columns=distances,
     )
 
 
@@ -606,19 +472,7 @@ def run_beta_sweep(spec: SweepSpec) -> ExperimentResult:
 
 def _weight_job(payload: dict) -> dict:
     cfg = ReservoirConfig(**payload["cfg"])
-    net = init_network(
-        cfg.n,
-        cfg.density,
-        payload["net_seed"],
-        global_coupling=cfg.lam,
-        character_parameter=cfg.beta,
-        adaptation_rate=cfg.epsilon,
-        timestep=cfg.dt,
-        spectral_target=cfg.spectral_target,
-        weight_init=payload["weight_init"],
-        frequency_scale=cfg.frequency_scale,
-    )
-    inputs = np.asarray(payload["inputs"])
+    net = cfg.build_network(weight_init=payload["weight_init"])
     bins = payload["bins"]
     snapshots = []
 
@@ -626,17 +480,15 @@ def _weight_job(payload: dict) -> dict:
         _, counts = weight_histogram(current.coupling, current.mask, bins)
         snapshots.append((step, counts))
 
-    _develop_only(cfg, inputs, net, payload["steps"], on_step=on_step)
+    develop(net, payload["inputs"], cfg.spectral_target, on_step)
     centers, final_counts = weight_histogram(net.coupling, net.mask, bins)
     out = {
         "snapshots": snapshots,
         "centers": centers,
         "final_counts": final_counts,
         "n_live": int(net.mask.sum()),
-        "fitted_a": float("nan"),
-        "fitted_b": float("nan"),
-        "fault": "",
     }
+    # A failed fit keeps the histograms, so it is caught here.
     try:
         fit = beta_fit(np.clip(net.coupling[net.mask], -1.0, 1.0))
         out["fitted_a"] = fit.a
@@ -664,62 +516,52 @@ def run_weight_distribution_study(
     if not initial_params or not betas:
         raise ValueError("initial_params and betas must be nonempty")
     steps = dev_steps if dev_steps is not None else spec.base.len_adev
-    inputs = _develop_inputs(spec, spec.base, steps)
+    inputs = _develop_inputs(spec, steps)
     payloads = []
     keys = []
     for ci, ((a, b), beta) in enumerate(itertools.product(initial_params, betas)):
         for t in range(spec.trials):
-            cfg = replace(spec.base, beta=beta)
+            cfg = replace(
+                spec.base,
+                beta=beta,
+                seed=derive_seed(spec.master_seed, _NET_STREAM, ci, t),
+            )
             payloads.append(
                 {
                     "cfg": asdict(cfg),
-                    "net_seed": derive_seed(spec.master_seed, _NET_STREAM, ci, t),
                     "weight_init": (a, b),
-                    "inputs": inputs[:steps],
-                    "steps": steps,
+                    "inputs": inputs,
                     "bins": bins,
                 }
             )
-            keys.append((ci, a, b, beta, t))
+            keys.append(
+                {
+                    "combo_index": ci,
+                    "initial_a": a,
+                    "initial_b": b,
+                    "beta": beta,
+                    "trial": t,
+                }
+            )
     outcomes = _run_jobs(_weight_job, payloads, spec.workers)
-    records = []
+    records = _records(keys, outcomes, ("n_live", "fitted_a", "fitted_b"))
     snapshot_rows = []
     final_rows = []
-    for (ci, a, b, beta, t), out in zip(keys, outcomes):
-        records.append(
-            {
-                "combo_index": ci,
-                "initial_a": a,
-                "initial_b": b,
-                "beta": beta,
-                "trial": t,
-                "n_live": out["n_live"],
-                "fitted_a": out["fitted_a"],
-                "fitted_b": out["fitted_b"],
-                "fault": out["fault"],
-            }
-        )
-        centers = out["centers"]
-        for step, counts in out["snapshots"]:
-            for bi, count in enumerate(counts):
+    for rec in records:
+        job = {"combo_index": rec["combo_index"], "trial": rec["trial"]}
+        centers = rec.pop("centers", ())
+        for step, counts in rec.pop("snapshots", ()):
+            for center, count in zip(centers, counts):
                 snapshot_rows.append(
                     {
-                        "combo_index": ci,
-                        "trial": t,
+                        **job,
                         "step": step,
-                        "bin_center": float(centers[bi]),
+                        "bin_center": float(center),
                         "count": int(count),
                     }
                 )
-        for bi, count in enumerate(out["final_counts"]):
-            final_rows.append(
-                {
-                    "combo_index": ci,
-                    "trial": t,
-                    "bin_center": float(centers[bi]),
-                    "count": int(count),
-                }
-            )
+        for center, count in zip(centers, rec.pop("final_counts", ())):
+            final_rows.append({**job, "bin_center": float(center), "count": int(count)})
     columns = [
         "combo_index",
         "initial_a",

@@ -425,6 +425,29 @@ def _rescale_warm(
     return v
 
 
+def develop(
+    net: OscillatorNetwork,
+    inputs: np.ndarray,
+    target: float,
+    on_step=None,
+) -> OscillatorNetwork:
+    """Development stage: phases and coupling co-evolve under the input.
+
+    Each input value drives one step: a phase step, a coupling step, then
+    a rescale of the coupling to spectral radius ``target``, warm-started
+    from the previous step's estimate. ``on_step(i, net)``, if given, is
+    called after step i = 1, 2, ... Returns ``net``, updated in place.
+    """
+    warm = None
+    for i, u in enumerate(inputs, start=1):
+        phase_step(net, u)
+        coupling_step(net)
+        warm = _rescale_warm(net, target, DEFAULT_SETTINGS, warm)
+        if on_step is not None:
+            on_step(i, net)
+    return net
+
+
 def order_parameter(phases: np.ndarray) -> tuple[float, float]:
     """Kuramoto order parameter (r, psi) of a phase configuration.
 

@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import network as netmod
-from .network import (
-    DEFAULT_SETTINGS,
-    OscillatorNetwork,
-    SpectralRadiusSettings,
-    init_network,
-    phase_step,
-    coupling_step,
-)
+from .network import OscillatorNetwork, develop, init_network, phase_step
 
 
 @dataclass
@@ -95,7 +87,23 @@ class ReservoirConfig:
         if self.ridge_alpha < 0:
             raise ValueError("ridge_alpha must be nonnegative")
 
-    def build_network(self) -> OscillatorNetwork:
+    @property
+    def train_span(self) -> int:
+        """Samples the development and training stages consume: len_train,
+        or len_adev + len_train with ``extra_train_after_dev``."""
+        if self.extra_train_after_dev:
+            return self.len_adev + self.len_train
+        return self.len_train
+
+    def build_network(
+        self, weight_init: tuple[float, float] | None = None
+    ) -> OscillatorNetwork:
+        """The random network this config describes, drawn from ``seed``.
+
+        Live weights are uniform on [-1, 1], or beta(a, b) mapped onto
+        [-1, 1] when ``weight_init`` gives the shape parameters (a, b).
+        The coupling is rescaled to ``spectral_target`` once.
+        """
         return init_network(
             self.n,
             self.density,
@@ -105,6 +113,7 @@ class ReservoirConfig:
             adaptation_rate=self.epsilon,
             timestep=self.dt,
             spectral_target=self.spectral_target,
+            weight_init=weight_init,
             frequency_scale=self.frequency_scale,
         )
 
@@ -191,7 +200,6 @@ def develop_and_collect(
     cfg: ReservoirConfig,
     data: TaskData,
     net: OscillatorNetwork | None = None,
-    settings: SpectralRadiusSettings = DEFAULT_SETTINGS,
 ) -> tuple[OscillatorNetwork, StateTrace]:
     """Run the development-plus-collection loop over the training span.
 
@@ -206,33 +214,25 @@ def develop_and_collect(
     """
     if net is None:
         net = cfg.build_network()
-    if cfg.extra_train_after_dev:
-        total = cfg.len_adev + cfg.len_train
-        dev_upto = cfg.len_adev
-    else:
-        total = cfg.len_train
-        dev_upto = cfg.len_adev - 1
+    total = cfg.train_span
     if len(data) < total:
         raise ValueError(
             f"training span needs {total} samples, task data provides {len(data)}"
         )
-    n_rows = total - max(dev_upto, 0)
-    states = np.empty((n_rows, net.n))
-    targets = np.empty(n_rows)
+    if cfg.extra_train_after_dev:
+        n_dev = cfg.len_adev
+    else:
+        n_dev = max(cfg.len_adev - 1, 0)
+    if cfg.adaptive:
+        develop(net, data.inputs[:n_dev], cfg.spectral_target)
+    else:
+        for u in data.inputs[:n_dev]:
+            phase_step(net, u)
     dev_phases = net.phases.copy()
-    warm = None
-    row = 0
-    for i in range(1, total + 1):
-        phase_step(net, data.inputs[i - 1])
-        if cfg.adaptive and i <= dev_upto:
-            coupling_step(net)
-            warm = netmod._rescale_warm(net, cfg.spectral_target, settings, warm)
-        if i > dev_upto:
-            states[row] = net.phases
-            targets[row] = data.targets[i - 1]
-            row += 1
-        if i == dev_upto:
-            dev_phases = net.phases.copy()
+    states = np.empty((total - n_dev, net.n))
+    for row, u in enumerate(data.inputs[n_dev:total]):
+        states[row] = phase_step(net, u)
+    targets = data.targets[n_dev:total].copy()
     return net, StateTrace(states=states, targets=targets, dev_phases=dev_phases)
 
 
@@ -320,9 +320,7 @@ def run_pipeline(cfg: ReservoirConfig, data: TaskData) -> PipelineResult:
 
     Deterministic given ``cfg.seed`` and the task data.
     """
-    train_span = (
-        cfg.len_adev + cfg.len_train if cfg.extra_train_after_dev else cfg.len_train
-    )
+    train_span = cfg.train_span
     if len(data) < train_span + cfg.len_test:
         raise ValueError(
             f"run needs {train_span + cfg.len_test} samples, "

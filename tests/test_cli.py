@@ -288,6 +288,29 @@ class TestDispatch:
         _, rows = read_csv(tmp_path / "wt" / "table_final_hist.csv")
         assert len(rows) == 8
 
+    @pytest.mark.parametrize("command", ["astringency", "weights"])
+    def test_diverging_jobs_are_recorded(self, tmp_path, command):
+        _, code = self.run_cli(
+            tmp_path,
+            command,
+            n=20,
+            len_adev=60,
+            len_train=80,
+            len_test=10,
+            lam=1e308,
+            spectral_target=2.0,
+            density=0.3,
+            density_grid="0.3",
+            weight_inits="1,1",
+            weight_betas="0.0",
+            trials=2,
+        )
+        assert code == 1
+        _, rows = read_csv(tmp_path / "records.csv")
+        assert rows and all("FloatingPointError" in row[-1] for row in rows)
+        _, aggregates = read_csv(tmp_path / "aggregates.csv")
+        assert aggregates[0][-1] == "nan"
+
     def test_beta_sweep_grid(self, tmp_path):
         _, code = self.run_cli(
             tmp_path, "beta-sweep", beta_grid="-0.5,0.0,0.5", trials=2

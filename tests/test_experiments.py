@@ -16,7 +16,8 @@ from kuramoto_rc.experiments import (
     _NET_STREAM,
     _TASK_STREAM,
 )
-from kuramoto_rc.network import init_network
+from kuramoto_rc import experiments
+from kuramoto_rc.network import develop, init_network
 from kuramoto_rc.reservoir import ReservoirConfig, run_pipeline
 from kuramoto_rc.tasks import make_task
 
@@ -370,3 +371,81 @@ class TestWeightDistributionStudy:
         spec = SweepSpec(base=tiny_base(), axes={"beta": [0.0]}, trials=1)
         with pytest.raises(ValueError, match="nonempty"):
             run_weight_distribution_study(spec, [], [0.0])
+
+
+def diverging_base():
+    # At lam = 1e308 the phases of this network overflow during development.
+    return ReservoirConfig(
+        n=20,
+        density=0.3,
+        len_adev=60,
+        len_train=80,
+        len_test=10,
+        lam=1e308,
+        spectral_target=2.0,
+    )
+
+
+class TestFaultIsolation:
+    DIVERGED = "FloatingPointError: non-finite phase"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_astringency_records_faults(self, workers):
+        spec = SweepSpec(
+            base=diverging_base(), axes={"density": [0.3]}, trials=3, workers=workers
+        )
+        result = run_astringency(spec)
+        assert result.n_faults == 2
+        for rec in result.records:
+            assert rec["fault"].startswith("reference trial: " + self.DIVERGED)
+            assert np.isnan(rec["developed_absolute"])
+            assert np.isnan(rec["initial_signed"])
+        assert result.aggregates[0]["n_faults"] == 2
+        assert np.isnan(result.aggregates[0]["developed_signed_mean"])
+
+    def test_astringency_fault_stays_with_its_trial(self, monkeypatch):
+        calls = []
+
+        def develop_failing_second(net, inputs, target, on_step=None):
+            calls.append(None)
+            if len(calls) == 2:
+                raise FloatingPointError("injected")
+            return develop(net, inputs, target, on_step)
+
+        monkeypatch.setattr(experiments, "develop", develop_failing_second)
+        spec = SweepSpec(base=tiny_base(), axes={"density": [0.3]}, trials=3)
+        first, second = run_astringency(spec).records
+        assert first["fault"] == "FloatingPointError: injected"
+        assert np.isnan(first["developed_signed"])
+        assert second["fault"] == ""
+        assert np.isfinite(second["developed_signed"])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_weight_study_records_faults(self, workers):
+        spec = SweepSpec(
+            base=diverging_base(), axes={"beta": [0.0]}, trials=2, workers=workers
+        )
+        result = run_weight_distribution_study(spec, [(1.0, 1.0)], [0.0], bins=5)
+        assert result.n_faults == 2
+        for rec in result.records:
+            assert rec["fault"].startswith(self.DIVERGED)
+            assert all(np.isnan(rec[c]) for c in ("n_live", "fitted_a", "fitted_b"))
+            assert "snapshots" not in rec
+        assert result.tables["snapshots"][1] == []
+        assert result.tables["final_hist"][1] == []
+        assert result.aggregates[0]["n_faults"] == 2
+
+    def test_pipeline_studies_record_faults(self):
+        spec = SweepSpec(base=diverging_base(), axes={"density": [0.3]}, trials=1)
+        for result in (
+            run_grid_sweep(spec),
+            run_sparsity_sweep(spec),
+            run_mc_study(spec, [(1e308, 2.0)], k_max=5),
+        ):
+            assert result.n_faults == len(result.records) >= 1
+            for rec in result.records:
+                assert rec["fault"].startswith(self.DIVERGED)
+                assert np.isnan(rec["test_mse"]) and np.isnan(rec["order_r"])
+                assert "mc_curve" not in rec
+        assert np.isnan(result.records[0]["mc_total"])
+        assert result.tables["mc_curve"][1] == []
