@@ -25,8 +25,11 @@ from .experiments import (
     ExperimentResult,
     SweepSpec,
     _NET_STREAM,
+    _PIPELINE_VALUES,
     _TASK_STREAM,
+    _guarded,
     _make_result,
+    _records,
     default_beta_grid,
     default_lambda_grid,
     default_rho_grid,
@@ -393,43 +396,51 @@ def _json_value(value):
 
 def _single_run_result(cfg: RunConfig) -> ExperimentResult:
     # Seeded exactly like cell 0, trial 0 of a sweep, so a 1x1 sweep and a
-    # single run agree.
+    # single run agree; a fault is recorded the same way too.
     net_seed = derive_seed(cfg.seed, _NET_STREAM, 0, 0)
     task_seed = derive_seed(cfg.seed, _TASK_STREAM, 0)
     rc = cfg.reservoir_config(seed=net_seed)
-    data = make_task(
-        cfg.task,
-        rc.train_span + rc.len_test,
-        seed=task_seed,
-        column=cfg.column,
-        normalize=cfg.normalize,
-    )
-    result = run_pipeline(rc, data)
-    r, _ = order_parameter(result.dev_phases)
-    record = {
+
+    def job(rc: ReservoirConfig) -> dict:
+        data = make_task(
+            cfg.task,
+            rc.train_span + rc.len_test,
+            seed=task_seed,
+            column=cfg.column,
+            normalize=cfg.normalize,
+        )
+        result = run_pipeline(rc, data)
+        r, _ = order_parameter(result.dev_phases)
+        predictions = [
+            {
+                "step": i,
+                "target": float(data.targets[rc.train_span + i]),
+                "prediction": float(result.predictions[i]),
+            }
+            for i in range(rc.len_test)
+        ]
+        return {
+            "test_mse": result.test_mse,
+            "train_mse": result.train_mse,
+            "order_r": r,
+            "predictions": predictions,
+        }
+
+    outcome = _guarded(job, rc)
+    prediction_rows = outcome.pop("predictions", [])
+    key = {
         "cell_index": 0,
         "lam": cfg.lam,
         "trial": 0,
         "net_seed": net_seed,
         "task_seed": task_seed,
-        "test_mse": result.test_mse,
-        "train_mse": result.train_mse,
-        "order_r": r,
-        "fault": "",
     }
-    prediction_rows = [
-        {
-            "step": i,
-            "target": float(data.targets[rc.train_span + i]),
-            "prediction": float(result.predictions[i]),
-        }
-        for i in range(rc.len_test)
-    ]
+    records = _records([key], [outcome], _PIPELINE_VALUES)
     return _make_result(
-        [record],
-        list(record),
+        records,
+        list(records[0]),
         group_columns=["cell_index", "lam"],
-        value_columns=["test_mse", "train_mse", "order_r"],
+        value_columns=list(_PIPELINE_VALUES),
         tables={
             "predictions": (["step", "target", "prediction"], prediction_rows)
         },

@@ -145,24 +145,17 @@ def init_network(
         raise ValueError("frequency_scale must be positive")
     rng = np.random.default_rng(seed)
     omega = frequency_scale * rng.standard_normal(n)
-    mask = _draw_mask(n, density, rng)
-    coupling = np.zeros((n, n))
-    n_live = int(mask.sum())
-    if n_live:
-        coupling[mask] = _draw_weights(n_live, rng, weight_init)
     net = OscillatorNetwork(
         phases=np.zeros(n),
         natural_frequencies=omega,
-        coupling=coupling,
-        mask=mask,
+        coupling=np.zeros((n, n)),
+        mask=_draw_mask(n, density, rng),
         global_coupling=global_coupling,
         character_parameter=character_parameter,
         adaptation_rate=adaptation_rate,
         timestep=timestep,
     )
-    if spectral_target is not None:
-        rescale_to_radius(net, spectral_target, settings)
-    return net
+    return _draw_live_weights(net, rng, weight_init, spectral_target, settings)
 
 
 def reinitialize_weights(
@@ -181,13 +174,7 @@ def reinitialize_weights(
     out = net.copy()
     out.phases = np.zeros(net.n)
     rng = np.random.default_rng(seed)
-    n_live = int(net.mask.sum())
-    out.coupling = np.zeros((net.n, net.n))
-    if n_live:
-        out.coupling[net.mask] = _draw_weights(n_live, rng, weight_init)
-    if spectral_target is not None:
-        rescale_to_radius(out, spectral_target, settings)
-    return out
+    return _draw_live_weights(out, rng, weight_init, spectral_target, settings)
 
 
 def _draw_mask(n: int, density: float, rng: np.random.Generator) -> np.ndarray:
@@ -202,15 +189,30 @@ def _draw_mask(n: int, density: float, rng: np.random.Generator) -> np.ndarray:
     return mask
 
 
-def _draw_weights(
-    count: int, rng: np.random.Generator, weight_init: tuple[float, float] | None
-) -> np.ndarray:
-    if weight_init is None:
-        return rng.uniform(-1.0, 1.0, count)
-    a, b = weight_init
-    if a <= 0 or b <= 0:
-        raise ValueError("beta shape parameters must be positive")
-    return 2.0 * rng.beta(a, b, count) - 1.0
+def _draw_live_weights(
+    net: OscillatorNetwork,
+    rng: np.random.Generator,
+    weight_init: tuple[float, float] | None,
+    spectral_target: float | None,
+    settings: SpectralRadiusSettings,
+) -> OscillatorNetwork:
+    """Replace the coupling of ``net`` by fresh live weights drawn from
+    ``rng`` (uniform, or beta(a, b) mapped onto [-1, 1]), rescaled to
+    ``spectral_target`` when it is set."""
+    n_live = int(net.mask.sum())
+    net.coupling = np.zeros((net.n, net.n))
+    if n_live:
+        if weight_init is None:
+            weights = rng.uniform(-1.0, 1.0, n_live)
+        else:
+            a, b = weight_init
+            if a <= 0 or b <= 0:
+                raise ValueError("beta shape parameters must be positive")
+            weights = 2.0 * rng.beta(a, b, n_live) - 1.0
+        net.coupling[net.mask] = weights
+    if spectral_target is not None:
+        rescale_to_radius(net, spectral_target, settings)
+    return net
 
 
 def phase_step(net: OscillatorNetwork, u: float) -> np.ndarray:

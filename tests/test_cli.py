@@ -311,6 +311,33 @@ class TestDispatch:
         _, aggregates = read_csv(tmp_path / "aggregates.csv")
         assert aggregates[0][-1] == "nan"
 
+    def test_diverging_run_is_recorded(self, tmp_path):
+        # The same fault as a 1x1 sweep: NaN values, the message, all files.
+        code = main(
+            [
+                "run",
+                "--n", "20",
+                "--density", "0.3",
+                "--len-adev", "60",
+                "--len-train", "80",
+                "--len-test", "10",
+                "--lambda", "1e308",
+                "--rho", "2",
+                "--outdir", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        header, rows = read_csv(tmp_path / "records.csv")
+        assert len(rows) == 1
+        row = dict(zip(header, rows[0]))
+        assert row["fault"].startswith("FloatingPointError")
+        assert [row[c] for c in ("test_mse", "train_mse", "order_r")] == ["nan"] * 3
+        _, aggregates = read_csv(tmp_path / "aggregates.csv")
+        assert aggregates[0][-1] == "nan"
+        pred_header, pred_rows = read_csv(tmp_path / "table_predictions.csv")
+        assert pred_header == ["step", "target", "prediction"] and pred_rows == []
+        assert (tmp_path / "config.txt").exists()
+
     def test_beta_sweep_grid(self, tmp_path):
         _, code = self.run_cli(
             tmp_path, "beta-sweep", beta_grid="-0.5,0.0,0.5", trials=2
