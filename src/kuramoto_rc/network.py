@@ -11,27 +11,36 @@ whose coupling weights adapt on a slower time scale
 Both equations are integrated by forward Euler with a shared timestep.
 The sparsity pattern of the coupling matrix is fixed at construction; only
 initially live edges ever carry weight. After each adaptation step the
-coupling matrix is rescaled to a target spectral radius, which is estimated
-by power iteration (a dense eigensolver is deliberately not used here so
-that tests can check against one independently).
+coupling matrix is rescaled to a target spectral radius, estimated by a
+warm-started power iteration that hands stalls to repeated squaring; a
+dense eigensolver (scipy's) is only the last resort, so tests can check
+against numpy's independently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 TWO_PI = 2.0 * np.pi
 
 # Start vector for power iteration: fixed seed so every estimate is
 # reproducible run to run.
 _POWER_SEED = 0x5EED
+# Warm power steps, then squarings, of the spectral-radius estimate.
+_WARM_STEPS = 30
+_SQUARINGS = 60
 
 
 @dataclass
 class SpectralRadiusSettings:
-    """Convergence controls for the power-iteration radius estimate."""
+    """Convergence controls for the spectral-radius estimate: the relative
+    agreement of successive estimates, a cap on the warm power steps (which
+    never exceed 30 before repeated squaring takes over), and the scale
+    below which a vector or radius counts as zero."""
 
     tolerance: float = 1e-10
     max_iterations: int = 1000
@@ -264,22 +273,51 @@ def spectral_radius(
 ) -> float:
     """Largest eigenvalue magnitude of a real square matrix.
 
-    Power iteration with a two-vector refinement: each iterate fits the
-    best degree-2 recurrence K^2 v = alpha K v + beta v, whose roots give
-    the dominant eigenvalue pair. This converges for real dominant
-    eigenvalues of either sign and for complex-conjugate dominant pairs.
-    If the iteration has not settled after ``max_iterations`` (several
-    eigenvalues of near-equal magnitude), the estimate falls back to the
-    norm limit ||K^m||^(1/m) computed by repeated squaring.
-
-    Raises
-    ------
-    ArithmeticError
-        If even the fallback fails to stabilize; the message carries the
-        best estimate so far.
+    Each stage fits the recurrence K^2 x = alpha K x + beta x at a vector
+    x; the larger root of t^2 - alpha t - beta is exact for a real dominant
+    eigenvalue of either sign and for a complex-conjugate dominant pair.
+    A stage settles when its fit is exact to rounding and two successive
+    estimates agree to ``settings.tolerance``. Stage 1 is power iteration
+    for at most 30 steps; stage 2 repeated squaring P <- P @ P / max|P|
+    from K / max|K|, fitting at P x0; stage 3, reached only when distinct
+    eigenvalues share the leading modulus, a dense eigensolver.
     """
     rho, _ = _power_radius(K, settings, None)
     return rho
+
+
+def _start_vector(n: int) -> np.ndarray:
+    v = np.random.default_rng(_POWER_SEED).standard_normal(n)
+    return v / np.sqrt(v @ v)
+
+
+def _two_term_fit(B: np.ndarray, previous: float, tol: float) -> tuple[float, bool]:
+    """Fit z ~ alpha*w + beta*v for the rows (v, w = Kv, z = Kw) of ``B``
+    via the 2x2 Gram system.
+
+    Returns the largest root magnitude of t^2 - alpha*t - beta and whether
+    it has settled: the estimate agrees with ``previous`` to relative
+    ``tol`` and the fit residual is below 1e-8 of |z|.
+    """
+    (gvv, gwv, zv), (_, gww, zw) = (B[:2] @ B.T).tolist()
+    det = gww * gvv - gwv * gwv
+    if det > 1e-14 * gww * gvv:
+        alpha = (zw * gvv - zv * gwv) / det
+        beta = (zv * gww - zw * gwv) / det
+    else:  # w parallel to v: pure one-term fit
+        alpha = zw / gww if gww else 0.0
+        beta = 0.0
+    disc = alpha * alpha + 4.0 * beta
+    if disc >= 0.0:
+        sq = math.sqrt(disc)
+        estimate = max(abs(alpha + sq), abs(alpha - sq)) / 2.0
+    else:
+        estimate = math.sqrt(alpha * alpha - disc) / 2.0
+    if abs(estimate - previous) > tol * max(1.0, estimate):
+        return estimate, False
+    v, w, z = B
+    r = z - alpha * w - beta * v
+    return estimate, bool(r @ r <= 1e-16 * (z @ z))
 
 
 def _power_radius(
@@ -287,7 +325,7 @@ def _power_radius(
     settings: SpectralRadiusSettings,
     v0: np.ndarray | None,
 ) -> tuple[float, np.ndarray | None]:
-    """Power-iteration core; returns (radius, last iterate) for warm starts."""
+    """Checks, then the warm stage; returns (radius, leading direction)."""
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("K must be square")
@@ -300,98 +338,57 @@ def _power_radius(
     if n == 1:
         return float(abs(K[0, 0])), None
 
+    B = np.empty((3, n))  # rows v, w = Kv, z = Kw
     if v0 is not None and v0.shape == (n,) and np.isfinite(v0).all():
-        v = v0 / np.sqrt(v0 @ v0)
+        B[0] = v0 / np.sqrt(v0 @ v0)
     else:
-        v = np.random.default_rng(_POWER_SEED).standard_normal(n)
-        v /= np.sqrt(v @ v)
-
-    tol = settings.tolerance
+        B[0] = _start_vector(n)
+    np.matmul(K, B[0], out=B[1])
     previous = np.inf
-    w = K @ v
-    residual_history = []
-    for iteration in range(settings.max_iterations):
-        gww = w @ w
-        if gww <= (settings.zero_threshold * scale) ** 2:
-            # v fell into the (near) null space; the norm-limit handles
-            # nilpotent and defective cases exactly.
-            break
-        z = K @ w
-        # Least-squares fit z ~ alpha*w + beta*v via the 2x2 Gram system.
-        gwv = w @ v
-        gvv = v @ v
-        zw = z @ w
-        zv = z @ v
-        zz = z @ z
-        det = gww * gvv - gwv * gwv
-        if det > 1e-14 * gww * gvv:
-            alpha = (zw * gvv - zv * gwv) / det
-            beta = (zv * gww - zw * gwv) / det
-        else:  # w parallel to v: pure one-term fit
-            alpha = zw / gww
-            beta = 0.0
-        # Roots of x^2 - alpha*x - beta, largest magnitude.
-        disc = alpha * alpha + 4.0 * beta
-        if disc >= 0.0:
-            sq = np.sqrt(disc)
-            estimate = max(abs(alpha + sq), abs(alpha - sq)) / 2.0
-        else:
-            estimate = np.sqrt(alpha * alpha - disc) / 2.0
-        residual_sq = max(
-            zz
-            - 2.0 * alpha * zw
-            - 2.0 * beta * zv
-            + alpha * alpha * gww
-            + 2.0 * alpha * beta * gwv
-            + beta * beta * gvv,
-            0.0,
-        )
-        if zz > 0 and residual_sq <= 1e-16 * zz:
-            if abs(estimate - previous) <= tol * max(1.0, estimate):
-                nw = np.sqrt(gww)
-                return estimate, w / nw
+    for _ in range(min(settings.max_iterations, _WARM_STEPS)):
+        nw = math.sqrt(B[1] @ B[1])
+        if nw <= settings.zero_threshold * scale:
+            break  # v fell into the (near) null space
+        np.matmul(K, B[1], out=B[2])
+        estimate, settled = _two_term_fit(B, previous, settings.tolerance)
+        if settled:
+            return estimate, B[1] / nw
         previous = estimate
-        # Oscillation watch: a residual that stops shrinking means several
-        # eigenvalues share the leading magnitude; hand over to the norm
-        # limit instead of spinning.
-        residual_history.append(residual_sq)
-        if iteration >= 100 and residual_sq > 0.25 * residual_history[-50]:
-            break
-        nw = np.sqrt(gww)
-        v = w / nw
-        w = z / nw
-
-    return _norm_limit_radius(K, settings), None
+        B[:2] = B[1:] / nw
+    return _norm_limit_radius(K, settings)
 
 
-def _norm_limit_radius(K: np.ndarray, settings: SpectralRadiusSettings) -> float:
-    """Gelfand norm-limit estimate ||K^(2^j)||^(1/2^j) by repeated squaring.
+def _norm_limit_radius(
+    K: np.ndarray, settings: SpectralRadiusSettings
+) -> tuple[float, np.ndarray | None]:
+    """Hand-off stage: the two-term fit at P x0, P = K^(2^j) by repeated
+    squaring; returns (radius, leading direction).
 
-    Uses the Frobenius norm (submultiplicative, cheap); the matrix is
-    renormalized at every squaring with the scale tracked in log space.
+    P is renormalized by its largest entry after every squaring. Each
+    squaring doubles the power, so even a gap |lambda_2 / lambda_1| near 1
+    is resolved in a few dozen matrix products, where power steps would
+    crawl. If no estimate settles within ``_SQUARINGS`` squarings, the
+    radius comes from ``scipy.linalg.eigvals``.
     """
-    A = np.array(K, dtype=float)
-    log_scale = 0.0
-    exponent = 1.0
+    P = K / np.abs(K).max()
+    x0 = _start_vector(K.shape[0])
+    B = np.empty((3, K.shape[0]))  # rows x = P x0 / |P x0|, Kx, K^2 x
     previous = np.inf
-    best = np.inf
-    for _ in range(60):
-        s = np.sqrt(np.einsum("ij,ij->", A, A))
-        if s == 0.0:
-            return 0.0
-        best = float(np.exp((log_scale + np.log(s)) / exponent))
-        if abs(previous - best) <= settings.tolerance * max(1.0, best):
-            return best
-        previous = best
-        A = A / s
-        A = A @ A
-        log_scale = 2.0 * (log_scale + np.log(s))
-        exponent *= 2.0
-        if not np.isfinite(A).all():
-            break
-    raise ArithmeticError(
-        f"spectral radius estimate did not converge; best estimate {best!r}"
-    )
+    for _ in range(_SQUARINGS):
+        P = P @ P
+        peak = np.abs(P).max()
+        if peak == 0.0:  # nilpotent
+            return 0.0, None
+        P /= peak
+        np.matmul(P, x0, out=B[0])
+        B[0] /= math.sqrt(B[0] @ B[0])
+        np.matmul(K, B[0], out=B[1])
+        np.matmul(K, B[1], out=B[2])
+        estimate, settled = _two_term_fit(B, previous, settings.tolerance)
+        if settled:
+            return estimate, B[0]
+        previous = estimate
+    return float(np.abs(scipy.linalg.eigvals(K, check_finite=False)).max()), None
 
 
 def rescale_to_radius(

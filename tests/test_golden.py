@@ -6,7 +6,8 @@ recorded one; ``config.txt`` is hashed without its ``outdir`` line, which
 names the temporary directory. A refactor that changes any floating-point
 operation or its order shows up here.
 
-Run this file as a script to print the digests of the current code::
+Run this file as a script to print, for each file whose digest differs
+from ``GOLDEN``, the recorded and the current digest::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -54,31 +55,31 @@ FLAGS = [
 
 GOLDEN = {
     "astringency": {
-        "aggregates.csv": "d6041abde49af4104a7356b013065c6430174c6106323fa374513c15509e5235",
+        "aggregates.csv": "54b3696c9bd99b2ccfff16549a19683f31e13cda89d745b22223bdcb5d6577ea",
         "config.txt": "3785a94627518990e1baea128b3263b521effecbf3b6e0fa0355b9a28681496f",
-        "records.csv": "704ef7152b18ef87f8fe99549c5845be0d0c4595e074dec9907cb8196d7a0462",
+        "records.csv": "9a7299cc4b63b9a9766ec87b5a99f54883f56292c3419f61cdf296c701fcdb2c",
     },
     "beta-sweep": {
-        "aggregates.csv": "fe359a25a79424e06b34ac00e3afe4cf8a1eab68047e43c1fee94710e71195db",
+        "aggregates.csv": "b327d09be1da50c83b94c44d6007452123ad5322a6a747be349a6bc891b41c71",
         "config.txt": "a16bd87947f7d4847aacdc4d8f97dc49603339ac6d045df9c83a9cd77f3f6593",
-        "records.csv": "2fe77348b967b0a12f2ff5dd9e104f6ff0c07f3a1ab61c19fa13c0f5decb0ca4",
+        "records.csv": "2a3c78cfcf8b9e3ecd0ca817485015629e1ae5a6eb0ce445e49694f3caa63d1a",
     },
     "mc": {
-        "aggregates.csv": "e45f6c0c5228e6f4ee2d5c064afec0af56cd310e357c189636b4af8dc7b25c25",
+        "aggregates.csv": "436657ec9a5b2ccf4a95fa95e33120615e7a783880d51830a9c39230235cc9a4",
         "config.txt": "d9913afa4628f9c23e14564527e04ccda56262e072c1530780024ec7e32366dd",
-        "records.csv": "b918f37ab3499d14d2d63b46fdc1457d819545c893cc14ac25d8683594c3e810",
-        "table_mc_curve.csv": "49c2294b6fc1dd361b86ab8048d7570c0af83a203f46ce5539039a5644dd7a02",
+        "records.csv": "7c83778eb987443cd59ad6e6e862e9e27b2cf9712c3159f389f8862d0d8ade6b",
+        "table_mc_curve.csv": "fea4f55f2fd9e35a6afd0a3903e5c60a950964a37b1020bd1fe66c60fb5edad7",
     },
     "run": {
-        "aggregates.csv": "5d89e6b67263fea4466663824ec26e2e76995c06d8c06e4ff5a7c957815cda27",
+        "aggregates.csv": "ad98cdbe54367bf39995e35e1b7a688d50bc17c2d883e1655a3bb804b58791fd",
         "config.txt": "eec80baed5eb2e3d3dfc6f57a3409cf2dfd4c8d263185c594b169809c348c3f0",
-        "records.csv": "63597c2d1847e3b2a427d202e7ef15a5fde66118eb21342f6149b894ec8b05d0",
-        "table_predictions.csv": "69d46409b34b0b91e7e4649f3ff7a49d41c57503710f6d798f85f8d93cef5c1c",
+        "records.csv": "f772c8f27095f767e3f14818d58d18e688eacca21eb370d7a8f7edc575dcf48b",
+        "table_predictions.csv": "b968e9a2548bfbc42f04a9eeba2a4a36461abb13c5449f182d2fcc1ebc5b0275",
     },
     "sparsity": {
-        "aggregates.csv": "6335f0c9df0d4c27f4aa755d02a4fce0904e502cc7dc6ac2cc63b69c2624edce",
+        "aggregates.csv": "89face20ded1dc6172988e57327649cbd4248be68ff2cb7c56b4e506e9c96a5e",
         "config.txt": "7a635f664bd95833813926c61f29e58cec74b548fd9d667f7dd928dde732a34b",
-        "records.csv": "0d385ce1f770773615eae3c2221d86f2e7dec0246bf712eeee898f315c7d3d0e",
+        "records.csv": "104c0d7b47d3b9ea58e16441e4a029469e9d57023673032233afa9d6280e1521",
     },
     "spectrum": {
         "aggregates.csv": "28502f004fc24f096054efc8b0d0d133cce708998b4a4232408f51b13bb69a9a",
@@ -86,14 +87,14 @@ GOLDEN = {
         "records.csv": "00c26ad9ee9f34f6eccfae145aef04878fa6927469665781b7efb9d9b41e5a12",
     },
     "sweep": {
-        "aggregates.csv": "e9e301df6dfd2243de16da68c2499e1244c7bfc5d6fd416fb2dffb782bfdd514",
+        "aggregates.csv": "05d5aee05e84df78b05b76b312b8a2a229b3108e45b6b88f1e4768f356433bc5",
         "config.txt": "c2c376f76d34a1c82d9b25ea33f2203166ecdb724d91f53e2a1d9e9d87f49660",
-        "records.csv": "8de1c92c68fb891d32f48551b5965c749e6d0569a1a55d9798dc7db47f0f6126",
+        "records.csv": "b16e9104d73c3028304fe84f3beb57a8c417ba65e3a637b8db2a7925a0793a86",
     },
     "weights": {
-        "aggregates.csv": "b6153b5fa2b5e8129ed4bcc30b171b3d07b22cdad1a8a59be606ebf3b7a1af97",
+        "aggregates.csv": "e74a7212e3229af354d2ac2ff913b94895e514419c3e4b75f7d6e55cf6909fae",
         "config.txt": "7180591993e31142d495c2d6482d006c2bac683da7a585e342f213614db3dd18",
-        "records.csv": "6c5ffa69ca021f94c76f8095153a1a3c4aed6e3cfc2b3f67eda46e286ac455e9",
+        "records.csv": "e2c3ac86e732ac7b7a6f2bdf36be67e183c6da5e35bb46ade5e228ff82ee91d1",
         "table_final_hist.csv": "90e4fdef7400fc7c55616a47d29cf63a603e77e302c74b45cefca7666ef495b6",
         "table_snapshots.csv": "a13c4eb6a85a4090ecf606381dcdd0a9c0d6d377d8f33752e61588feb509e6c0",
     },
@@ -135,10 +136,11 @@ def test_outputs_match_golden(command, tmp_path):
 
 
 if __name__ == "__main__":
-    import pprint
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        pprint.pprint(
-            {c: run_command(c, Path(tmp) / c) for c in COMMANDS}, width=100
-        )
+        for command in COMMANDS:
+            old, new = GOLDEN[command], run_command(command, Path(tmp) / command)
+            for name in sorted(old.keys() | new.keys()):
+                if old.get(name) != new.get(name):
+                    print(f"{command} {name}: {old.get(name)} -> {new.get(name)}")

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import kuramoto_rc.network as netmod
 from kuramoto_rc.network import (
     OscillatorNetwork,
     SpectralRadiusSettings,
@@ -12,6 +16,7 @@ from kuramoto_rc.network import (
     rescale_to_radius,
     spectral_radius,
 )
+from kuramoto_rc.reservoir import ReservoirConfig
 
 TWO_PI = 2.0 * np.pi
 
@@ -267,7 +272,7 @@ class TestSpectralRadius:
         assert spectral_radius(K) == pytest.approx(1.7, abs=1e-8)
 
     def test_block_rotations_equal_magnitude(self):
-        # two complex pairs of identical magnitude: the norm-limit path
+        # two complex pairs of identical magnitude: the dense last resort
         blocks = []
         for angle in (0.4, 1.1):
             c, s = np.cos(angle), np.sin(angle)
@@ -300,6 +305,111 @@ class TestSpectralRadius:
             spectral_radius(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def rotation(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def block_rotations():
+    K = np.zeros((4, 4))
+    K[:2, :2] = rotation(0.4)
+    K[2:, 2:] = rotation(1.1)
+    return K
+
+
+def developed_coupling(seed):
+    """Coupling of the incoherent cell (8, 2) after 30 development steps:
+    a dominant complex pair with the next eigenvalues at 0.94-0.98 of it."""
+    cfg = ReservoirConfig(lam=8.0, spectral_target=2.0, seed=seed)
+    net = cfg.build_network()
+    inputs = np.random.default_rng(seed).uniform(0.0, 0.5, 30)
+    return netmod.develop(net, inputs, cfg.spectral_target).coupling
+
+
+@pytest.fixture
+def stages(monkeypatch):
+    """Counts entries into the squaring hand-off and the dense last resort."""
+    taken = {"squaring": 0, "dense": 0}
+    squaring, dense = netmod._norm_limit_radius, scipy.linalg.eigvals
+
+    def counted_squaring(*args):
+        taken["squaring"] += 1
+        return squaring(*args)
+
+    def counted_dense(*args, **kwargs):
+        taken["dense"] += 1
+        return dense(*args, **kwargs)
+
+    monkeypatch.setattr(netmod, "_norm_limit_radius", counted_squaring)
+    monkeypatch.setattr(scipy.linalg, "eigvals", counted_dense)
+    return taken
+
+
+class TestRadiusStages:
+    @pytest.mark.parametrize(
+        "K, radius",
+        [
+            (np.diag([2.0, -1.0]), 2.0),
+            (np.array([[2.0, 1.0], [0.0, 2.0]]), 2.0),  # 2x2 Jordan block
+            (1.7 * rotation(0.7), 1.7),
+            (np.array([[-3.0]]), 3.0),
+            (np.zeros((3, 3)), 0.0),
+        ],
+        ids=["diag(2,-1)", "jordan-2", "scaled-rotation", "1x1", "zero"],
+    )
+    def test_warm_stage_settles(self, stages, K, radius):
+        assert spectral_radius(K) == pytest.approx(radius, abs=1e-12)
+        assert stages == {"squaring": 0, "dense": 0}
+
+    @pytest.mark.parametrize(
+        "K, radius",
+        [
+            (np.eye(5) + np.eye(5, k=1), 1.0),  # 5x5 Jordan block
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0),
+            (np.triu(np.ones((3, 3)), 1), 0.0),
+            (np.diag([1.0, 0.999, 0.998, 0.997, 0.5]), 1.0),
+        ],
+        ids=["jordan-5", "nilpotent-2", "nilpotent-3", "close-gap"],
+    )
+    def test_stall_is_handed_to_squaring(self, stages, K, radius):
+        assert spectral_radius(K) == pytest.approx(radius, abs=1e-9)
+        assert stages == {"squaring": 1, "dense": 0}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_developed_incoherent_coupling_uses_squaring(self, stages, seed):
+        K = developed_coupling(seed)
+        stages.update(squaring=0, dense=0)
+        oracle = float(np.max(np.abs(np.linalg.eigvals(K))))
+        assert spectral_radius(K) == pytest.approx(oracle, rel=1e-12)
+        assert stages == {"squaring": 1, "dense": 0}
+
+    @pytest.mark.parametrize(
+        "K",
+        [block_rotations(), np.roll(np.eye(4), 1, axis=0)],
+        ids=["block-rotations", "4-cycle"],
+    )
+    def test_equal_moduli_reach_the_dense_solver(self, stages, K):
+        # The 4-cycle's squarings reach a fixed point P = I, so successive
+        # estimates agree there; only the inexact fit keeps them from
+        # being accepted.
+        assert spectral_radius(K) == pytest.approx(1.0, abs=1e-12)
+        assert stages == {"squaring": 1, "dense": 1}
+
+    def test_max_iterations_caps_the_warm_stage(self, stages):
+        K = np.diag([2.0, -1.0])
+        assert spectral_radius(K, SpectralRadiusSettings(max_iterations=1)) == (
+            pytest.approx(2.0, abs=1e-12)
+        )
+        assert stages == {"squaring": 1, "dense": 0}
+
+    def test_returned_direction_spans_the_leading_pair(self):
+        K = developed_coupling(0)
+        rho, v = netmod._power_radius(K, netmod.DEFAULT_SETTINGS, None)
+        w = K @ v
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        assert netmod._two_term_fit(np.stack((v, w, K @ w)), rho, 1e-10)[1]
+
+
 class TestRescale:
     def test_diagonal_example(self):
         net = two_node_net([0.0, 0.0], np.diag([2.0, 1.0]))
@@ -319,6 +429,28 @@ class TestRescale:
         rescale_to_radius(net, 0.9)
         dense = float(np.max(np.abs(np.linalg.eigvals(net.coupling))))
         assert dense == pytest.approx(0.9, abs=1e-8)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 40),
+        density=st.floats(0.05, 0.6),
+        log_scale=st.floats(-3.0, 3.0),
+        target=st.floats(0.1, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rescale_hits_target_on_masked_matrices(
+        self, n, density, log_scale, target, seed
+    ):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n, n)) < density
+        np.fill_diagonal(mask, False)
+        K = np.where(mask, 10.0**log_scale * rng.standard_normal((n, n)), 0.0)
+        # a (near) nilpotent matrix is left unscaled by design
+        assume(np.max(np.abs(np.linalg.eigvals(K))) > 1e-6 * 10.0**log_scale)
+        net = OscillatorNetwork(np.zeros(n), np.zeros(n), K, mask, 1.0, 0.0, 0.1)
+        rescale_to_radius(net, target)
+        dense = float(np.max(np.abs(np.linalg.eigvals(net.coupling))))
+        assert dense == pytest.approx(target, rel=1e-8)
 
     def test_invalid_target(self):
         net = two_node_net([0.0, 0.0], np.diag([2.0, 1.0]))
