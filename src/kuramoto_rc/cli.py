@@ -308,6 +308,21 @@ def _format_value(value) -> str:
     return str(value)
 
 
+# Exact-type shortcuts of _format_value for the cell types the studies
+# write; any other type, numpy scalars included, falls back to it.
+_CELL_FORMATS = {
+    float: lambda value: format(value, ".17g"),
+    int: str,
+    str: str,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "",
+}
+
+
+def _format_cell(value) -> str:
+    return _CELL_FORMATS.get(type(value), _format_value)(value)
+
+
 def _format_config_value(value) -> str:
     if isinstance(value, (list, tuple)) and value and isinstance(value[0], tuple):
         return ";".join(
@@ -344,7 +359,7 @@ def write_result(
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             for row in rows:
-                writer.writerow([_format_value(row.get(c)) for c in columns])
+                writer.writerow([_format_cell(row.get(c)) for c in columns])
         written.append(str(path))
 
     if fmt == "csv":

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -107,6 +108,14 @@ class OscillatorNetwork:
     @property
     def n(self) -> int:
         return self.phases.shape[0]
+
+    @cached_property
+    def live_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat, row and column indices of the live edges, in row-major
+        order; read from the mask once, which never changes."""
+        flat = np.flatnonzero(self.mask)
+        rows, cols = np.divmod(flat, self.n)
+        return flat, rows, cols
 
     def copy(self) -> "OscillatorNetwork":
         return OscillatorNetwork(
@@ -255,17 +264,25 @@ def coupling_step(net: OscillatorNetwork) -> np.ndarray:
 
     Each live weight moves by -epsilon * sin(theta_j - theta_i + beta) * dt
     and is clamped back into [-1, 1] immediately. Masked-off entries stay
-    zero; phases are untouched. Returns the updated coupling matrix.
+    zero; phases are untouched. Returns the updated coupling matrix, a new
+    array.
+
+    Only the live edges are computed, at the products and subtraction
+    order of the full outer-product form, so the result equals it bit for
+    bit.
     """
     theta = net.phases
     shifted = theta + net.character_parameter
-    # Outer-product expansion of sin(theta_j - theta_i + beta).
-    sines = np.outer(np.cos(theta), np.sin(shifted)) - np.outer(
-        np.sin(theta), np.cos(shifted)
-    )
-    stepped = net.coupling - net.adaptation_rate * net.timestep * sines
-    net.coupling = np.where(net.mask, np.clip(stepped, -1.0, 1.0), 0.0)
-    return net.coupling
+    flat, rows, cols = net.live_edges
+    # sin(theta_j - theta_i + beta) = cos(theta_i) sin(theta_j + beta)
+    #                               - sin(theta_i) cos(theta_j + beta)
+    cos_i, sin_i = np.cos(theta)[rows], np.sin(theta)[rows]
+    sines = cos_i * np.sin(shifted)[cols] - sin_i * np.cos(shifted)[cols]
+    stepped = net.coupling.take(flat) - net.adaptation_rate * net.timestep * sines
+    coupling = np.zeros((net.n, net.n))
+    coupling.put(flat, np.clip(stepped, -1.0, 1.0))
+    net.coupling = coupling
+    return coupling
 
 
 def spectral_radius(
@@ -286,9 +303,14 @@ def spectral_radius(
     return rho
 
 
+@lru_cache(maxsize=32)
 def _start_vector(n: int) -> np.ndarray:
+    """The seeded unit start vector of length n, drawn once per n and
+    shared read-only."""
     v = np.random.default_rng(_POWER_SEED).standard_normal(n)
-    return v / np.sqrt(v @ v)
+    v = v / np.sqrt(v @ v)
+    v.flags.writeable = False
+    return v
 
 
 def _two_term_fit(B: np.ndarray, previous: float, tol: float) -> tuple[float, bool]:
@@ -376,7 +398,7 @@ def _norm_limit_radius(
     previous = np.inf
     for _ in range(_SQUARINGS):
         P = P @ P
-        peak = np.abs(P).max()
+        peak = max(P.max(), -P.min())  # max |P| without the abs temporary
         if peak == 0.0:  # nilpotent
             return 0.0, None
         P /= peak

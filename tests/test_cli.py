@@ -8,6 +8,8 @@ import pytest
 
 from kuramoto_rc.cli import (
     RunConfig,
+    _format_cell,
+    _format_value,
     dispatch,
     main,
     parse_config,
@@ -124,6 +126,28 @@ class TestParseConfig:
 
 
 class TestWriteResult:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            0.1,
+            np.float64(1 / 3),
+            math.nan,
+            math.inf,
+            -math.inf,
+            -0.0,
+            12345678901234567890,
+            np.int64(-7),
+            True,
+            False,
+            np.bool_(True),
+            None,
+            "a,b",
+        ],
+        ids=repr,
+    )
+    def test_cell_formatter_matches_format_value(self, value):
+        assert _format_cell(value) == _format_value(value)
+
     def make_result(self):
         spec = SweepSpec(
             base=ReservoirConfig(

@@ -190,7 +190,68 @@ class TestPhaseStep:
             phase_step(net, 0.0)
 
 
+def reference_coupling_step(net):
+    """The full outer-product coupling step that the live-edge kernel
+    replaced, kept as its bit-for-bit reference."""
+    theta = net.phases
+    shifted = theta + net.character_parameter
+    sines = np.outer(np.cos(theta), np.sin(shifted)) - np.outer(
+        np.sin(theta), np.cos(shifted)
+    )
+    stepped = net.coupling - net.adaptation_rate * net.timestep * sines
+    net.coupling = np.where(net.mask, np.clip(stepped, -1.0, 1.0), 0.0)
+    return net.coupling
+
+
+@st.composite
+def coupling_cases(draw):
+    """A network with arbitrary phases and weights, nonzero junk off the
+    mask included, to be stepped once."""
+    n = draw(st.integers(1, 30))
+    density = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    phases = draw(
+        st.lists(
+            st.floats(0.0, TWO_PI, exclude_max=True), min_size=n, max_size=n
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) < density
+    np.fill_diagonal(mask, False)
+    return OscillatorNetwork(
+        phases=np.array(phases),
+        natural_frequencies=np.zeros(n),
+        coupling=rng.uniform(-1.0, 1.0, (n, n)),
+        mask=mask,
+        global_coupling=1.0,
+        character_parameter=draw(st.floats(-TWO_PI, TWO_PI)),
+        adaptation_rate=draw(st.floats(0.0, 1.0)),
+        timestep=draw(st.floats(0.01, 2.0)),
+    )
+
+
 class TestCouplingStep:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(net=coupling_cases())
+    def test_live_edge_kernel_equals_outer_product_form(self, net):
+        expected = reference_coupling_step(net.copy())
+        stepped = coupling_step(net)
+        assert np.array_equal(stepped, expected)
+        assert np.all(np.abs(stepped[net.mask]) <= 1.0)
+        assert np.all(stepped[~net.mask] == 0.0)
+
+    @pytest.mark.parametrize("lam, rho", [(2.0, 1.0), (8.0, 2.0)])
+    def test_development_equals_reference_in_chaotic_cells(
+        self, monkeypatch, lam, rho
+    ):
+        # In these cells a one-ulp difference grows visibly within 100 steps.
+        cfg = ReservoirConfig(lam=lam, spectral_target=rho, seed=3)
+        inputs = np.random.default_rng(3).uniform(0.0, 0.5, 100)
+        fast = netmod.develop(cfg.build_network(), inputs, rho)
+        monkeypatch.setattr(netmod, "coupling_step", reference_coupling_step)
+        slow = netmod.develop(cfg.build_network(), inputs, rho)
+        assert np.array_equal(fast.coupling, slow.coupling)
+        assert np.array_equal(fast.phases, slow.phases)
+
     def test_aligned_phases_zero_offset_is_identity(self):
         net = two_node_net([1.3, 1.3], [[0.0, 0.5], [0.25, 0.0]], beta=0.0)
         before = net.coupling.copy()
