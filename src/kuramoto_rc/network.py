@@ -10,11 +10,13 @@ whose coupling weights adapt on a slower time scale
 
 Both equations are integrated by forward Euler with a shared timestep.
 The sparsity pattern of the coupling matrix is fixed at construction; only
-initially live edges ever carry weight. After each adaptation step the
-coupling matrix is rescaled to a target spectral radius, estimated by a
-warm-started power iteration that hands stalls to repeated squaring; a
-dense eigensolver (scipy's) is only the last resort, so tests can check
-against numpy's independently.
+initially live edges ever carry weight, and the adaptation step computes
+only those. After each adaptation step the coupling matrix is rescaled to a
+target spectral radius, estimated by a warm-started power iteration that
+hands stalls to repeated squaring: at once when a probe of its fit residual
+after six steps shows it cannot settle within its 30-step budget. A dense
+eigensolver (scipy's) is only the last resort, so tests can check against
+numpy's independently.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ _POWER_SEED = 0x5EED
 # Warm power steps, then squarings, of the spectral-radius estimate.
 _WARM_STEPS = 30
 _SQUARINGS = 60
+# Squared residual ratio at which a fit settles; warm fit after which a
+# stall is handed to squaring.
+_SETTLE_RATIO = 1e-16
+_PROBE_FIT = 6
 
 
 @dataclass
@@ -298,6 +304,12 @@ def spectral_radius(
     for at most 30 steps; stage 2 repeated squaring P <- P @ P / max|P|
     from K / max|K|, fitting at P x0; stage 3, reached only when distinct
     eigenvalues share the leading modulus, a dense eigensolver.
+
+    Stage 1 hands a stall to stage 2 early. It measures the squared fit
+    residual ratio |z - alpha*w - beta*v|^2 / |z|^2 at its 1st and 6th
+    fits only, and stops after the 6th if the ratio is not shrinking or,
+    at its geometric rate over those five steps, would still exceed the
+    1e-16 settle threshold at the end of the 30-step budget.
     """
     rho, _ = _power_radius(K, settings, None)
     return rho
@@ -313,13 +325,18 @@ def _start_vector(n: int) -> np.ndarray:
     return v
 
 
-def _two_term_fit(B: np.ndarray, previous: float, tol: float) -> tuple[float, bool]:
+def _two_term_fit(
+    B: np.ndarray, previous: float, tol: float, measure: bool = False
+) -> tuple[float, bool, float]:
     """Fit z ~ alpha*w + beta*v for the rows (v, w = Kv, z = Kw) of ``B``
     via the 2x2 Gram system.
 
-    Returns the largest root magnitude of t^2 - alpha*t - beta and whether
-    it has settled: the estimate agrees with ``previous`` to relative
-    ``tol`` and the fit residual is below 1e-8 of |z|.
+    Returns the largest root magnitude of t^2 - alpha*t - beta, whether it
+    has settled, and the squared residual ratio |z - alpha*w - beta*v|^2 /
+    |z|^2 (0 for z = 0). The estimate has settled when it agrees with
+    ``previous`` to relative ``tol`` and the ratio is at most
+    ``_SETTLE_RATIO``. The residual is computed only when the estimates
+    agree or ``measure`` is set; otherwise the ratio reads inf.
     """
     (gvv, gwv, zv), (_, gww, zw) = (B[:2] @ B.T).tolist()
     det = gww * gvv - gwv * gwv
@@ -335,11 +352,25 @@ def _two_term_fit(B: np.ndarray, previous: float, tol: float) -> tuple[float, bo
         estimate = max(abs(alpha + sq), abs(alpha - sq)) / 2.0
     else:
         estimate = math.sqrt(alpha * alpha - disc) / 2.0
-    if abs(estimate - previous) > tol * max(1.0, estimate):
-        return estimate, False
+    agrees = abs(estimate - previous) <= tol * max(1.0, estimate)
+    if not (agrees or measure):
+        return estimate, False, math.inf
     v, w, z = B
     r = z - alpha * w - beta * v
-    return estimate, bool(r @ r <= 1e-16 * (z @ z))
+    rr, zz = float(r @ r), float(z @ z)
+    ratio = rr / zz if zz else 0.0
+    return estimate, agrees and rr <= _SETTLE_RATIO * zz, ratio
+
+
+def _stalls(first: float, probe: float, remaining: int) -> bool:
+    """Whether a warm stage whose residual ratio went from ``first`` (fit
+    1) to ``probe`` (fit ``_PROBE_FIT``) cannot settle in ``remaining``
+    more fits: the ratio is not shrinking, or at its geometric rate it
+    stays above ``_SETTLE_RATIO``."""
+    if not probe < first:
+        return True
+    rate = (probe / first) ** (1.0 / (_PROBE_FIT - 1))
+    return probe * rate**remaining > _SETTLE_RATIO
 
 
 def _power_radius(
@@ -367,14 +398,21 @@ def _power_radius(
         B[0] = _start_vector(n)
     np.matmul(K, B[0], out=B[1])
     previous = np.inf
-    for _ in range(min(settings.max_iterations, _WARM_STEPS)):
+    steps = min(settings.max_iterations, _WARM_STEPS)
+    for fit in range(1, steps + 1):
         nw = math.sqrt(B[1] @ B[1])
         if nw <= settings.zero_threshold * scale:
             break  # v fell into the (near) null space
         np.matmul(K, B[1], out=B[2])
-        estimate, settled = _two_term_fit(B, previous, settings.tolerance)
+        estimate, settled, ratio = _two_term_fit(
+            B, previous, settings.tolerance, measure=fit in (1, _PROBE_FIT)
+        )
         if settled:
             return estimate, B[1] / nw
+        if fit == 1:
+            first = ratio
+        elif fit == _PROBE_FIT and _stalls(first, ratio, steps - fit):
+            break
         previous = estimate
         B[:2] = B[1:] / nw
     return _norm_limit_radius(K, settings)
@@ -406,7 +444,7 @@ def _norm_limit_radius(
         B[0] /= math.sqrt(B[0] @ B[0])
         np.matmul(K, B[0], out=B[1])
         np.matmul(K, B[1], out=B[2])
-        estimate, settled = _two_term_fit(B, previous, settings.tolerance)
+        estimate, settled, _ = _two_term_fit(B, previous, settings.tolerance)
         if settled:
             return estimate, B[0]
         previous = estimate

@@ -92,9 +92,9 @@ GOLDEN = {
         "records.csv": "b16e9104d73c3028304fe84f3beb57a8c417ba65e3a637b8db2a7925a0793a86",
     },
     "weights": {
-        "aggregates.csv": "e74a7212e3229af354d2ac2ff913b94895e514419c3e4b75f7d6e55cf6909fae",
+        "aggregates.csv": "d5372557540f9635ccdbce717acecd3ef0f458a8ac7be67dde30ff6c87bd5cd6",
         "config.txt": "7180591993e31142d495c2d6482d006c2bac683da7a585e342f213614db3dd18",
-        "records.csv": "e2c3ac86e732ac7b7a6f2bdf36be67e183c6da5e35bb46ade5e228ff82ee91d1",
+        "records.csv": "5570001a7ea817c76ece2f2ffeb422ec5e15cd830ad742dfe999437eabfbda72",
         "table_final_hist.csv": "90e4fdef7400fc7c55616a47d29cf63a603e77e302c74b45cefca7666ef495b6",
         "table_snapshots.csv": "a13c4eb6a85a4090ecf606381dcdd0a9c0d6d377d8f33752e61588feb509e6c0",
     },

@@ -307,6 +307,7 @@ class TestCouplingStep:
         assert np.allclose(net.coupling, expected, atol=1e-14)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSpectralRadius:
     def test_diagonal(self):
         assert spectral_radius(np.diag([2.0, -1.0])) == pytest.approx(2.0, abs=1e-9)
@@ -406,6 +407,42 @@ def stages(monkeypatch):
     return taken
 
 
+@pytest.fixture
+def fits(monkeypatch):
+    """Counts two-term fits, and how many were made before the squaring
+    stage was entered (None if it never was)."""
+    count = {"total": 0, "warm": None}
+    fit, squaring = netmod._two_term_fit, netmod._norm_limit_radius
+
+    def counted_fit(*args, **kwargs):
+        count["total"] += 1
+        return fit(*args, **kwargs)
+
+    def counted_squaring(*args):
+        count["warm"] = count["total"]
+        return squaring(*args)
+
+    monkeypatch.setattr(netmod, "_two_term_fit", counted_fit)
+    monkeypatch.setattr(netmod, "_norm_limit_radius", counted_squaring)
+    return count
+
+
+STALLS = {
+    "developed-0": lambda: developed_coupling(0),
+    "developed-1": lambda: developed_coupling(1),
+    "developed-2": lambda: developed_coupling(2),
+    "close-gap": lambda: np.diag([1.0, 0.999, 0.998, 0.997, 0.5]),
+}
+
+
+def slow_settling():
+    """Symmetric, with |lambda_3 / lambda_1| = 0.5 behind a dominant pair:
+    the warm stage needs over 20 fits but settles within its 30."""
+    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))[0]
+    return Q @ np.diag([2.0, 1.2, 1.0, 0.3, -0.2, 0.1]) @ Q.T
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRadiusStages:
     @pytest.mark.parametrize(
         "K, radius",
@@ -455,6 +492,20 @@ class TestRadiusStages:
         # being accepted.
         assert spectral_radius(K) == pytest.approx(1.0, abs=1e-12)
         assert stages == {"squaring": 1, "dense": 1}
+
+    @pytest.mark.parametrize("case", list(STALLS))
+    def test_stall_is_handed_off_at_the_probe_fit(self, fits, case):
+        K = STALLS[case]()
+        fits.update(total=0, warm=None)
+        oracle = float(np.max(np.abs(np.linalg.eigvals(K))))
+        assert spectral_radius(K) == pytest.approx(oracle, rel=1e-12)
+        assert fits["warm"] is not None
+        assert fits["warm"] <= netmod._PROBE_FIT
+
+    def test_slow_settling_within_budget_stays_warm(self, fits):
+        assert spectral_radius(slow_settling()) == pytest.approx(2.0, rel=1e-12)
+        assert fits["warm"] is None
+        assert 20 <= fits["total"] <= netmod._WARM_STEPS
 
     def test_max_iterations_caps_the_warm_stage(self, stages):
         K = np.diag([2.0, -1.0])
