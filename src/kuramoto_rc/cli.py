@@ -296,7 +296,21 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     return RunConfig(**kwargs)
 
 
+# Exact-type shortcuts for the cell types the studies write; any other
+# type, numpy scalars included, goes through the isinstance chain.
+_EXACT_FORMATS = {
+    float: lambda value: format(value, ".17g"),
+    int: str,
+    str: str,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "",
+}
+
+
 def _format_value(value) -> str:
+    exact = _EXACT_FORMATS.get(type(value))
+    if exact is not None:
+        return exact(value)
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -306,21 +320,6 @@ def _format_value(value) -> str:
     if value is None:
         return ""
     return str(value)
-
-
-# Exact-type shortcuts of _format_value for the cell types the studies
-# write; any other type, numpy scalars included, falls back to it.
-_CELL_FORMATS = {
-    float: lambda value: format(value, ".17g"),
-    int: str,
-    str: str,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "",
-}
-
-
-def _format_cell(value) -> str:
-    return _CELL_FORMATS.get(type(value), _format_value)(value)
 
 
 def _format_config_value(value) -> str:
@@ -359,7 +358,7 @@ def write_result(
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             for row in rows:
-                writer.writerow([_format_cell(row.get(c)) for c in columns])
+                writer.writerow([_format_value(row.get(c)) for c in columns])
         written.append(str(path))
 
     if fmt == "csv":

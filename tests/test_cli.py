@@ -8,7 +8,6 @@ import pytest
 
 from kuramoto_rc.cli import (
     RunConfig,
-    _format_cell,
     _format_value,
     dispatch,
     main,
@@ -127,26 +126,34 @@ class TestParseConfig:
 
 class TestWriteResult:
     @pytest.mark.parametrize(
-        "value",
+        ("value", "expected"),
         [
-            0.1,
-            np.float64(1 / 3),
-            math.nan,
-            math.inf,
-            -math.inf,
-            -0.0,
-            12345678901234567890,
-            np.int64(-7),
-            True,
-            False,
-            np.bool_(True),
-            None,
-            "a,b",
+            (0.1, "0.10000000000000001"),
+            (np.float64(1 / 3), "0.33333333333333331"),
+            (1 / 3, "0.33333333333333331"),
+            (math.nan, "nan"),
+            (np.float64(math.nan), "nan"),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (-0.0, "-0"),
+            (12345678901234567890, "12345678901234567890"),
+            (np.int64(-7), "-7"),
+            (-7, "-7"),
+            (True, "true"),
+            (False, "false"),
+            (np.bool_(True), "true"),
+            (np.bool_(False), "false"),
+            (None, ""),
+            ("a,b", "a,b"),
         ],
         ids=repr,
     )
-    def test_cell_formatter_matches_format_value(self, value):
-        assert _format_cell(value) == _format_value(value)
+    def test_format_value_agrees_across_exact_and_numpy_types(
+        self, value, expected
+    ):
+        # Python scalars take the exact-type table, numpy scalars the
+        # isinstance chain; both must write the same cell.
+        assert _format_value(value) == expected
 
     def make_result(self):
         spec = SweepSpec(
