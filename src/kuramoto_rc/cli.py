@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, make_dataclass
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -24,12 +24,9 @@ import numpy as np
 from .experiments import (
     ExperimentResult,
     SweepSpec,
-    _NET_STREAM,
-    _PIPELINE_VALUES,
     _TASK_STREAM,
-    _guarded,
+    _grid_sweep,
     _make_result,
-    _records,
     default_beta_grid,
     default_lambda_grid,
     default_rho_grid,
@@ -41,8 +38,7 @@ from .experiments import (
     run_sparsity_sweep,
     run_weight_distribution_study,
 )
-from .network import order_parameter
-from .reservoir import ReservoirConfig, run_pipeline
+from .reservoir import ReservoirConfig
 from .tasks import make_task, spectrum
 
 OUTDIR_ENV = "KURAMOTO_RC_OUTDIR"
@@ -98,10 +94,8 @@ class _RunConfigMethods:
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be at least 1")
 
-    def reservoir_config(self, seed: int | None = None) -> ReservoirConfig:
+    def reservoir_config(self) -> ReservoirConfig:
         values = {f.name: getattr(self, f.name) for f in fields(ReservoirConfig)}
-        if seed is not None:
-            values["seed"] = seed
         return ReservoirConfig(**values)
 
     def resolved_trials(self) -> int:
@@ -317,8 +311,6 @@ def _format_value(value) -> str:
         return format(float(value), ".17g")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if value is None:
-        return ""
     return str(value)
 
 
@@ -327,9 +319,7 @@ def _format_config_value(value) -> str:
         return ";".join(
             ",".join(_format_value(x) for x in pair) for pair in value
         )
-    if isinstance(value, tuple):
-        return ",".join(_format_value(x) for x in value)
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return ",".join(_format_value(x) for x in value)
     return _format_value(value)
 
@@ -409,56 +399,13 @@ def _json_value(value):
 
 
 def _single_run_result(cfg: RunConfig) -> ExperimentResult:
-    # Seeded exactly like cell 0, trial 0 of a sweep, so a 1x1 sweep and a
-    # single run agree; a fault is recorded the same way too.
-    net_seed = derive_seed(cfg.seed, _NET_STREAM, 0, 0)
-    task_seed = derive_seed(cfg.seed, _TASK_STREAM, 0)
-    rc = cfg.reservoir_config(seed=net_seed)
-
-    def job(rc: ReservoirConfig) -> dict:
-        data = make_task(
-            cfg.task,
-            rc.train_span + rc.len_test,
-            seed=task_seed,
-            column=cfg.column,
-            normalize=cfg.normalize,
-        )
-        result = run_pipeline(rc, data)
-        r, _ = order_parameter(result.dev_phases)
-        predictions = [
-            {
-                "step": i,
-                "target": float(data.targets[rc.train_span + i]),
-                "prediction": float(result.predictions[i]),
-            }
-            for i in range(rc.len_test)
-        ]
-        return {
-            "test_mse": result.test_mse,
-            "train_mse": result.train_mse,
-            "order_r": r,
-            "predictions": predictions,
-        }
-
-    outcome = _guarded(job, rc)
-    prediction_rows = outcome.pop("predictions", [])
-    key = {
-        "cell_index": 0,
-        "lam": cfg.lam,
-        "trial": 0,
-        "net_seed": net_seed,
-        "task_seed": task_seed,
-    }
-    records = _records([key], [outcome], _PIPELINE_VALUES)
-    return _make_result(
-        records,
-        list(records[0]),
-        group_columns=["cell_index", "lam"],
-        value_columns=list(_PIPELINE_VALUES),
-        tables={
-            "predictions": (["step", "target", "prediction"], prediction_rows)
-        },
-    )
+    # Cell 0, trial 0 of a one-cell sweep, so a 1x1 sweep and a single run
+    # agree; a fault is recorded the same way too.
+    spec = replace(_sweep_spec(cfg, {"lam": [cfg.lam]}), trials=1)
+    result = _grid_sweep(spec, predictions=True)
+    rows = result.records[0].pop("predictions", [])
+    result.tables["predictions"] = (["step", "target", "prediction"], rows)
+    return result
 
 
 def _spectrum_result(cfg: RunConfig) -> ExperimentResult:
@@ -476,10 +423,7 @@ def _spectrum_result(cfg: RunConfig) -> ExperimentResult:
         for i in range(freqs.size)
     ]
     return _make_result(
-        records,
-        ["bin", "frequency", "magnitude", "fault"],
-        group_columns=["bin"],
-        value_columns=["magnitude"],
+        records, ["bin"], ["frequency", "magnitude"], ["bin"], ["magnitude"]
     )
 
 

@@ -167,16 +167,20 @@ def _aggregate_columns(
 
 def _make_result(
     records: list[dict],
-    columns: list[str],
+    key_columns: list[str],
+    values: tuple[str, ...] | list[str],
     group_columns: list[str],
-    value_columns: list[str],
+    value_columns: list[str] | None = None,
     quartiles: bool = False,
     tables: dict | None = None,
 ) -> ExperimentResult:
+    """Result whose records list the key columns, then ``values``, then the
+    fault; aggregated over ``value_columns`` (``values`` by default)."""
+    value_columns = list(value_columns or values)
     agg_cols = _aggregate_columns(group_columns, value_columns, quartiles)
     aggregates = _aggregate(records, group_columns, value_columns, quartiles)
     return ExperimentResult(
-        columns=columns,
+        columns=[*key_columns, *values, "fault"],
         records=records,
         aggregate_columns=agg_cols,
         aggregates=aggregates,
@@ -243,6 +247,12 @@ def _pipeline_job(payload: dict) -> dict:
     result = run_pipeline(cfg, data)
     r, _ = order_parameter(result.dev_phases)
     record = {"test_mse": result.test_mse, "train_mse": result.train_mse, "order_r": r}
+    if payload.get("predictions"):
+        targets = data.targets[cfg.train_span :]
+        record["predictions"] = [
+            {"step": i, "target": float(t), "prediction": float(p)}
+            for i, (t, p) in enumerate(zip(targets, result.predictions))
+        ]
     if "k_max" in payload:
         curve = memory_capacity(
             cfg, result.network, k_max=payload["k_max"], seed=payload["mc_seed"]
@@ -259,12 +269,18 @@ def run_grid_sweep(spec: SweepSpec) -> ExperimentResult:
     coupling strength and the spectral-radius target). Per-cell faults are
     recorded in the result rather than aborting the sweep.
     """
-    axis_names = list(spec.axes.keys())
+    return _grid_sweep(spec)
+
+
+def _grid_sweep(spec: SweepSpec, quartiles: bool = False, **extra) -> ExperimentResult:
+    """The grid sweep, its aggregates with boxplot statistics when
+    ``quartiles`` is set; ``extra`` goes into every job's payload."""
+    group = ["cell_index", *spec.axes]
     payloads = []
     keys = []
     for ci, cell in enumerate(spec.cells()):
         for t in range(spec.trials):
-            payloads.append(_pipeline_payload(spec, ci, t, cell))
+            payloads.append(_pipeline_payload(spec, ci, t, cell, **extra))
             keys.append(
                 {
                     "cell_index": ci,
@@ -276,16 +292,9 @@ def run_grid_sweep(spec: SweepSpec) -> ExperimentResult:
             )
     outcomes = _run_jobs(_pipeline_job, payloads, spec.workers)
     records = _records(keys, outcomes, _PIPELINE_VALUES)
-    columns = (
-        ["cell_index"]
-        + axis_names
-        + ["trial", "net_seed", "task_seed", *_PIPELINE_VALUES, "fault"]
-    )
+    key_columns = group + ["trial", "net_seed", "task_seed"]
     return _make_result(
-        records,
-        columns,
-        group_columns=["cell_index"] + axis_names,
-        value_columns=list(_PIPELINE_VALUES),
+        records, key_columns, _PIPELINE_VALUES, group, quartiles=quartiles
     )
 
 
@@ -305,6 +314,9 @@ def run_mc_study(
             raise ValueError(f"node coupling strength {lam} outside the swept grid")
         if "spectral_target" in spec.axes and rho not in spec.axes["spectral_target"]:
             raise ValueError(f"node spectral target {rho} outside the swept grid")
+    group = ["node_index", "lam", "spectral_target"]
+    key_columns = group + ["trial"]
+    values = (*_PIPELINE_VALUES, "mc_total")
     payloads = []
     keys = []
     for ni, (lam, rho) in enumerate(sample_nodes):
@@ -322,20 +334,19 @@ def run_mc_study(
             )
             keys.append({"node_index": ni, **node, "trial": t})
     outcomes = _run_jobs(_pipeline_job, payloads, spec.workers)
-    records = _records(keys, outcomes, _PIPELINE_VALUES + ("mc_total",))
+    records = _records(keys, outcomes, values)
     curve_rows = [
         {**key, "delay": k, "coefficient": float(coeff)}
         for key, rec in zip(keys, records)
         for k, coeff in enumerate(rec.pop("mc_curve", ()), start=1)
     ]
-    key_columns = ["node_index", "lam", "spectral_target", "trial"]
-    columns = key_columns + [*_PIPELINE_VALUES, "mc_total", "fault"]
     tables = {"mc_curve": (key_columns + ["delay", "coefficient"], curve_rows)}
     return _make_result(
         records,
-        columns,
-        group_columns=["node_index", "lam", "spectral_target"],
-        value_columns=["test_mse", "order_r", "mc_total"],
+        key_columns,
+        values,
+        group,
+        ["test_mse", "order_r", "mc_total"],
         tables=tables,
     )
 
@@ -359,13 +370,9 @@ def run_sparsity_sweep(spec: SweepSpec) -> ExperimentResult:
                 keys.append({"density_index": di, **cell, "trial": t})
     outcomes = _run_jobs(_pipeline_job, payloads, spec.workers)
     records = _records(keys, outcomes, _PIPELINE_VALUES)
-    columns = ["density_index", "density", "adaptive", "trial"]
-    columns += [*_PIPELINE_VALUES, "fault"]
+    group = ["density_index", "density", "adaptive"]
     return _make_result(
-        records,
-        columns,
-        group_columns=["density_index", "density", "adaptive"],
-        value_columns=["test_mse", "train_mse"],
+        records, group + ["trial"], _PIPELINE_VALUES, group, ["test_mse", "train_mse"]
     )
 
 
@@ -443,13 +450,8 @@ def run_astringency(spec: SweepSpec, beta: float = 0.0) -> ExperimentResult:
                             out[stage], reference[stage], mode
                         )
             records.append(rec)
-    columns = ["density_index", "density", "trial", *distances, "fault"]
-    return _make_result(
-        records,
-        columns,
-        group_columns=["density_index", "density"],
-        value_columns=distances,
-    )
+    group = ["density_index", "density"]
+    return _make_result(records, group + ["trial"], distances, group)
 
 
 def run_beta_sweep(spec: SweepSpec) -> ExperimentResult:
@@ -460,14 +462,7 @@ def run_beta_sweep(spec: SweepSpec) -> ExperimentResult:
     """
     if "beta" not in spec.axes:
         spec = replace(spec, axes={**spec.axes, "beta": default_beta_grid()})
-    result = run_grid_sweep(spec)
-    return _make_result(
-        result.records,
-        result.columns,
-        group_columns=result.group_columns,
-        value_columns=["test_mse", "train_mse", "order_r"],
-        quartiles=True,
-    )
+    return _grid_sweep(spec, quartiles=True)
 
 
 def _weight_job(payload: dict) -> dict:
@@ -544,7 +539,8 @@ def run_weight_distribution_study(
                 }
             )
     outcomes = _run_jobs(_weight_job, payloads, spec.workers)
-    records = _records(keys, outcomes, ("n_live", "fitted_a", "fitted_b"))
+    values = ("n_live", "fitted_a", "fitted_b")
+    records = _records(keys, outcomes, values)
     snapshot_rows = []
     final_rows = []
     for rec in records:
@@ -562,17 +558,6 @@ def run_weight_distribution_study(
                 )
         for center, count in zip(centers, rec.pop("final_counts", ())):
             final_rows.append({**job, "bin_center": float(center), "count": int(count)})
-    columns = [
-        "combo_index",
-        "initial_a",
-        "initial_b",
-        "beta",
-        "trial",
-        "n_live",
-        "fitted_a",
-        "fitted_b",
-        "fault",
-    ]
     tables = {
         "snapshots": (
             ["combo_index", "trial", "step", "bin_center", "count"],
@@ -583,10 +568,12 @@ def run_weight_distribution_study(
             final_rows,
         ),
     }
+    group = ["combo_index", "initial_a", "initial_b", "beta"]
     return _make_result(
         records,
-        columns,
-        group_columns=["combo_index", "initial_a", "initial_b", "beta"],
-        value_columns=["fitted_a", "fitted_b"],
+        group + ["trial"],
+        values,
+        group,
+        ["fitted_a", "fitted_b"],
         tables=tables,
     )

@@ -40,29 +40,10 @@ _SQUARINGS = 60
 # stall is handed to squaring.
 _SETTLE_RATIO = 1e-16
 _PROBE_FIT = 6
-
-
-@dataclass
-class SpectralRadiusSettings:
-    """Convergence controls for the spectral-radius estimate: the relative
-    agreement of successive estimates, a cap on the warm power steps (which
-    never exceed 30 before repeated squaring takes over), and the scale
-    below which a vector or radius counts as zero."""
-
-    tolerance: float = 1e-10
-    max_iterations: int = 1000
-    zero_threshold: float = 1e-12
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.zero_threshold <= 0:
-            raise ValueError("zero_threshold must be positive")
-
-
-DEFAULT_SETTINGS = SpectralRadiusSettings()
+# Relative agreement of successive estimates; scale below which a vector or
+# radius counts as zero.
+_TOLERANCE = 1e-10
+_ZERO_THRESHOLD = 1e-12
 
 
 @dataclass
@@ -147,7 +128,6 @@ def init_network(
     spectral_target: float | None = None,
     weight_init: tuple[float, float] | None = None,
     frequency_scale: float = 1.0,
-    settings: SpectralRadiusSettings = DEFAULT_SETTINGS,
 ) -> OscillatorNetwork:
     """Build a randomly initialized network.
 
@@ -179,7 +159,7 @@ def init_network(
         adaptation_rate=adaptation_rate,
         timestep=timestep,
     )
-    return _draw_live_weights(net, rng, weight_init, spectral_target, settings)
+    return _draw_live_weights(net, rng, weight_init, spectral_target)
 
 
 def reinitialize_weights(
@@ -187,7 +167,6 @@ def reinitialize_weights(
     seed: int,
     weight_init: tuple[float, float] | None = None,
     spectral_target: float | None = None,
-    settings: SpectralRadiusSettings = DEFAULT_SETTINGS,
 ) -> OscillatorNetwork:
     """Fresh copy of ``net`` with new live weights but the same mask and
     natural frequencies.
@@ -198,7 +177,7 @@ def reinitialize_weights(
     out = net.copy()
     out.phases = np.zeros(net.n)
     rng = np.random.default_rng(seed)
-    return _draw_live_weights(out, rng, weight_init, spectral_target, settings)
+    return _draw_live_weights(out, rng, weight_init, spectral_target)
 
 
 def _draw_mask(n: int, density: float, rng: np.random.Generator) -> np.ndarray:
@@ -218,7 +197,6 @@ def _draw_live_weights(
     rng: np.random.Generator,
     weight_init: tuple[float, float] | None,
     spectral_target: float | None,
-    settings: SpectralRadiusSettings,
 ) -> OscillatorNetwork:
     """Replace the coupling of ``net`` by fresh live weights drawn from
     ``rng`` (uniform, or beta(a, b) mapped onto [-1, 1]), rescaled to
@@ -235,7 +213,7 @@ def _draw_live_weights(
             weights = 2.0 * rng.beta(a, b, n_live) - 1.0
         net.coupling[net.mask] = weights
     if spectral_target is not None:
-        rescale_to_radius(net, spectral_target, settings)
+        rescale_to_radius(net, spectral_target)
     return net
 
 
@@ -291,18 +269,16 @@ def coupling_step(net: OscillatorNetwork) -> np.ndarray:
     return coupling
 
 
-def spectral_radius(
-    K: np.ndarray, settings: SpectralRadiusSettings = DEFAULT_SETTINGS
-) -> float:
+def spectral_radius(K: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a real square matrix.
 
     Each stage fits the recurrence K^2 x = alpha K x + beta x at a vector
     x; the larger root of t^2 - alpha t - beta is exact for a real dominant
     eigenvalue of either sign and for a complex-conjugate dominant pair.
     A stage settles when its fit is exact to rounding and two successive
-    estimates agree to ``settings.tolerance``. Stage 1 is power iteration
-    for at most 30 steps; stage 2 repeated squaring P <- P @ P / max|P|
-    from K / max|K|, fitting at P x0; stage 3, reached only when distinct
+    estimates agree to relative 1e-10. Stage 1 is power iteration for at
+    most 30 steps; stage 2 repeated squaring P <- P @ P / max|P| from
+    K / max|K|, fitting at P x0; stage 3, reached only when distinct
     eigenvalues share the leading modulus, a dense eigensolver.
 
     Stage 1 hands a stall to stage 2 early. It measures the squared fit
@@ -311,7 +287,7 @@ def spectral_radius(
     at its geometric rate over those five steps, would still exceed the
     1e-16 settle threshold at the end of the 30-step budget.
     """
-    rho, _ = _power_radius(K, settings, None)
+    rho, _ = _power_radius(K, None)
     return rho
 
 
@@ -326,7 +302,7 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 def _two_term_fit(
-    B: np.ndarray, previous: float, tol: float, measure: bool = False
+    B: np.ndarray, previous: float, measure: bool = False
 ) -> tuple[float, bool, float]:
     """Fit z ~ alpha*w + beta*v for the rows (v, w = Kv, z = Kw) of ``B``
     via the 2x2 Gram system.
@@ -334,7 +310,7 @@ def _two_term_fit(
     Returns the largest root magnitude of t^2 - alpha*t - beta, whether it
     has settled, and the squared residual ratio |z - alpha*w - beta*v|^2 /
     |z|^2 (0 for z = 0). The estimate has settled when it agrees with
-    ``previous`` to relative ``tol`` and the ratio is at most
+    ``previous`` to relative ``_TOLERANCE`` and the ratio is at most
     ``_SETTLE_RATIO``. The residual is computed only when the estimates
     agree or ``measure`` is set; otherwise the ratio reads inf.
     """
@@ -352,7 +328,7 @@ def _two_term_fit(
         estimate = max(abs(alpha + sq), abs(alpha - sq)) / 2.0
     else:
         estimate = math.sqrt(alpha * alpha - disc) / 2.0
-    agrees = abs(estimate - previous) <= tol * max(1.0, estimate)
+    agrees = abs(estimate - previous) <= _TOLERANCE * max(1.0, estimate)
     if not (agrees or measure):
         return estimate, False, math.inf
     v, w, z = B
@@ -374,9 +350,7 @@ def _stalls(first: float, probe: float, remaining: int) -> bool:
 
 
 def _power_radius(
-    K: np.ndarray,
-    settings: SpectralRadiusSettings,
-    v0: np.ndarray | None,
+    K: np.ndarray, v0: np.ndarray | None
 ) -> tuple[float, np.ndarray | None]:
     """Checks, then the warm stage; returns (radius, leading direction)."""
     K = np.asarray(K, dtype=float)
@@ -398,29 +372,26 @@ def _power_radius(
         B[0] = _start_vector(n)
     np.matmul(K, B[0], out=B[1])
     previous = np.inf
-    steps = min(settings.max_iterations, _WARM_STEPS)
-    for fit in range(1, steps + 1):
+    for fit in range(1, _WARM_STEPS + 1):
         nw = math.sqrt(B[1] @ B[1])
-        if nw <= settings.zero_threshold * scale:
+        if nw <= _ZERO_THRESHOLD * scale:
             break  # v fell into the (near) null space
         np.matmul(K, B[1], out=B[2])
         estimate, settled, ratio = _two_term_fit(
-            B, previous, settings.tolerance, measure=fit in (1, _PROBE_FIT)
+            B, previous, measure=fit in (1, _PROBE_FIT)
         )
         if settled:
             return estimate, B[1] / nw
         if fit == 1:
             first = ratio
-        elif fit == _PROBE_FIT and _stalls(first, ratio, steps - fit):
+        elif fit == _PROBE_FIT and _stalls(first, ratio, _WARM_STEPS - fit):
             break
         previous = estimate
         B[:2] = B[1:] / nw
-    return _norm_limit_radius(K, settings)
+    return _norm_limit_radius(K)
 
 
-def _norm_limit_radius(
-    K: np.ndarray, settings: SpectralRadiusSettings
-) -> tuple[float, np.ndarray | None]:
+def _norm_limit_radius(K: np.ndarray) -> tuple[float, np.ndarray | None]:
     """Hand-off stage: the two-term fit at P x0, P = K^(2^j) by repeated
     squaring; returns (radius, leading direction).
 
@@ -444,42 +415,34 @@ def _norm_limit_radius(
         B[0] /= math.sqrt(B[0] @ B[0])
         np.matmul(K, B[0], out=B[1])
         np.matmul(K, B[1], out=B[2])
-        estimate, settled, _ = _two_term_fit(B, previous, settings.tolerance)
+        estimate, settled, _ = _two_term_fit(B, previous)
         if settled:
             return estimate, B[0]
         previous = estimate
     return float(np.abs(scipy.linalg.eigvals(K, check_finite=False)).max()), None
 
 
-def rescale_to_radius(
-    net: OscillatorNetwork,
-    target: float,
-    settings: SpectralRadiusSettings = DEFAULT_SETTINGS,
-) -> np.ndarray:
+def rescale_to_radius(net: OscillatorNetwork, target: float) -> np.ndarray:
     """Scale the coupling matrix so its spectral radius equals ``target``.
 
-    Skipped when the current radius is below ``settings.zero_threshold``
-    (an all-zero or nilpotent matrix cannot be rescaled). The scaling may
-    push individual weights outside [-1, 1]; the clamp belongs to the
-    adaptation step only.
+    Skipped when the current radius is below 1e-12 (an all-zero or
+    nilpotent matrix cannot be rescaled). The scaling may push individual
+    weights outside [-1, 1]; the clamp belongs to the adaptation step only.
     """
     if target <= 0:
         raise ValueError("target spectral radius must be positive")
-    rho = spectral_radius(net.coupling, settings)
-    if rho >= settings.zero_threshold:
+    rho = spectral_radius(net.coupling)
+    if rho >= _ZERO_THRESHOLD:
         net.coupling = net.coupling * (target / rho)
     return net.coupling
 
 
 def _rescale_warm(
-    net: OscillatorNetwork,
-    target: float,
-    settings: SpectralRadiusSettings,
-    v0: np.ndarray | None,
+    net: OscillatorNetwork, target: float, v0: np.ndarray | None
 ) -> np.ndarray | None:
     """Rescale with a warm-started radius estimate (development-loop path)."""
-    rho, v = _power_radius(net.coupling, settings, v0)
-    if rho >= settings.zero_threshold:
+    rho, v = _power_radius(net.coupling, v0)
+    if rho >= _ZERO_THRESHOLD:
         net.coupling = net.coupling * (target / rho)
     return v
 
@@ -497,11 +460,13 @@ def develop(
     from the previous step's estimate. ``on_step(i, net)``, if given, is
     called after step i = 1, 2, ... Returns ``net``, updated in place.
     """
+    if target <= 0:
+        raise ValueError("target spectral radius must be positive")
     warm = None
     for i, u in enumerate(inputs, start=1):
         phase_step(net, u)
         coupling_step(net)
-        warm = _rescale_warm(net, target, DEFAULT_SETTINGS, warm)
+        warm = _rescale_warm(net, target, warm)
         if on_step is not None:
             on_step(i, net)
     return net

@@ -312,7 +312,6 @@ def make_task(
     preset: str,
     length: int,
     seed: int = 0,
-    mso_frequencies: tuple[float, ...] | None = None,
     normalize: tuple[float, float] | None = None,
     column: str | None = None,
 ) -> TaskData:
@@ -325,8 +324,7 @@ def make_task(
     if preset == "mg17":
         return gen_mackey_glass(length, seed=seed)
     if preset == "mso12":
-        freqs = mso_frequencies or MSO12_FREQUENCIES
-        return gen_mso(length, MsoParams(frequencies=freqs))
+        return gen_mso(length)
     if preset.startswith("file:"):
         data = load_series(preset[5:], column=column, normalize=normalize)
         if len(data.inputs) < length:

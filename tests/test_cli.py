@@ -250,13 +250,15 @@ class TestDispatch:
             rho_grid="0.3",
             trials=1,
         )
-        run_header, run_rows = read_csv(tmp_path / "run" / "records.csv")
-        sweep_header, sweep_rows = read_csv(tmp_path / "sweep" / "records.csv")
-        for column in ("test_mse", "train_mse", "order_r"):
-            assert (
-                run_rows[0][run_header.index(column)]
-                == sweep_rows[0][sweep_header.index(column)]
-            )
+        for name in ("records.csv", "aggregates.csv"):
+            run_header, run_rows = read_csv(tmp_path / "run" / name)
+            sweep_header, sweep_rows = read_csv(tmp_path / "sweep" / name)
+            assert len(run_rows) == len(sweep_rows) == 1
+            run_row = dict(zip(run_header, run_rows[0]))
+            sweep_row = dict(zip(sweep_header, sweep_rows[0]))
+            shared = [c for c in run_header if c in sweep_row]
+            assert shared == [c for c in sweep_header if c != "spectral_target"]
+            assert {c: run_row[c] for c in shared} == {c: sweep_row[c] for c in shared}
 
     def test_sweep_cardinality(self, tmp_path):
         _, code = self.run_cli(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import kuramoto_rc.network as netmod
 from kuramoto_rc.network import (
     OscillatorNetwork,
-    SpectralRadiusSettings,
     coupling_step,
     init_network,
     order_parameter,
@@ -352,14 +351,6 @@ class TestSpectralRadius:
             abs(scale) * spectral_radius(K), rel=1e-8
         )
 
-    def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            SpectralRadiusSettings(tolerance=0.0)
-        with pytest.raises(ValueError):
-            SpectralRadiusSettings(max_iterations=0)
-        with pytest.raises(ValueError):
-            SpectralRadiusSettings(zero_threshold=-1.0)
-
     def test_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
             spectral_radius(np.ones((2, 3)))
@@ -507,19 +498,18 @@ class TestRadiusStages:
         assert fits["warm"] is None
         assert 20 <= fits["total"] <= netmod._WARM_STEPS
 
-    def test_max_iterations_caps_the_warm_stage(self, stages):
+    def test_max_iterations_caps_the_warm_stage(self, stages, monkeypatch):
+        monkeypatch.setattr(netmod, "_WARM_STEPS", 1)
         K = np.diag([2.0, -1.0])
-        assert spectral_radius(K, SpectralRadiusSettings(max_iterations=1)) == (
-            pytest.approx(2.0, abs=1e-12)
-        )
+        assert spectral_radius(K) == pytest.approx(2.0, abs=1e-12)
         assert stages == {"squaring": 1, "dense": 0}
 
     def test_returned_direction_spans_the_leading_pair(self):
         K = developed_coupling(0)
-        rho, v = netmod._power_radius(K, netmod.DEFAULT_SETTINGS, None)
+        rho, v = netmod._power_radius(K, None)
         w = K @ v
         assert np.linalg.norm(v) == pytest.approx(1.0)
-        assert netmod._two_term_fit(np.stack((v, w, K @ w)), rho, 1e-10)[1]
+        assert netmod._two_term_fit(np.stack((v, w, K @ w)), rho)[1]
 
 
 class TestRescale:
@@ -568,6 +558,15 @@ class TestRescale:
         net = two_node_net([0.0, 0.0], np.diag([2.0, 1.0]))
         with pytest.raises(ValueError):
             rescale_to_radius(net, 0.0)
+
+    @pytest.mark.parametrize("target", [0.0, -0.5])
+    def test_develop_rejects_nonpositive_target(self, target):
+        net = init_network(10, 0.3, seed=4, spectral_target=0.5)
+        before = net.copy()
+        with pytest.raises(ValueError, match="target spectral radius must be positive"):
+            netmod.develop(net, np.full(5, 0.2), target)
+        np.testing.assert_array_equal(net.phases, before.phases)
+        np.testing.assert_array_equal(net.coupling, before.coupling)
 
     def test_may_exceed_unit_weights(self):
         # rescaling is not clamped; only the adaptation step is
