@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -43,17 +43,6 @@ from .tasks import make_task, spectrum
 
 OUTDIR_ENV = "KURAMOTO_RC_OUTDIR"
 
-COMMANDS = (
-    "run",
-    "sweep",
-    "mc",
-    "sparsity",
-    "astringency",
-    "beta-sweep",
-    "weights",
-    "spectrum",
-)
-
 # Per-task benchmark defaults: development, training, and test lengths
 # plus the coupling strength. File-backed tasks use the measured-series
 # row.
@@ -75,6 +64,7 @@ TRIAL_DEFAULTS = {
     "weights": 1,
     "spectrum": 1,
 }
+COMMANDS = tuple(TRIAL_DEFAULTS)
 
 KEY_ALIASES = {"lambda": "lam", "rho": "spectral_target"}
 
@@ -89,10 +79,11 @@ class _RunConfigMethods:
             raise ValueError(f"unknown command {self.command!r}; one of {COMMANDS}")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.trials is not None and self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        minima = {"trials": 1, "workers": 1, "bins": 1, "k_max": 1, "length": 2}
+        for key, low in minima.items():
+            value = getattr(self, key)
+            if value is not None and value < low:
+                raise ValueError(f"{key} must be at least {low}")
 
     def reservoir_config(self) -> ReservoirConfig:
         values = {f.name: getattr(self, f.name) for f in fields(ReservoirConfig)}
@@ -100,61 +91,6 @@ class _RunConfigMethods:
 
     def resolved_trials(self) -> int:
         return self.trials if self.trials is not None else TRIAL_DEFAULTS[self.command]
-
-
-@dataclass
-class _StudyOptions:
-    """Study and output settings, listed after the reservoir fields."""
-
-    trials: int | None = None
-    workers: int = 1
-    lambda_grid: list = field(default_factory=default_lambda_grid)
-    rho_grid: list = field(default_factory=default_rho_grid)
-    density_grid: list = field(default_factory=lambda: [0.05, 0.1, 0.2, 0.5, 1.0])
-    beta_grid: list = field(default_factory=default_beta_grid)
-    k_max: int = 100
-    nodes: list | None = None
-    weight_inits: list = field(
-        default_factory=lambda: [
-            (0.4, 0.4),
-            (5.0, 1.0),
-            (1.0, 5.0),
-            (10.0, 10.0),
-            (1.0, 1.0),
-            (0.0001, 0.0001),
-        ]
-    )
-    weight_betas: list = field(
-        default_factory=lambda: [-float(np.pi) / 2, 0.0, float(np.pi) / 2]
-    )
-    bins: int = 50
-    length: int = 1200
-    column: str | None = None
-    normalize: tuple | None = None
-    outdir: str = ""
-    format: str = "csv"
-
-
-def _field_specs(cls) -> list[tuple]:
-    return [
-        (f.name, f.type, field(default=f.default, default_factory=f.default_factory))
-        for f in fields(cls)
-    ]
-
-
-# The command and task, every ReservoirConfig field (same names and
-# defaults), then the study options; config.txt lists them in this order.
-RunConfig = make_dataclass(
-    "RunConfig",
-    [("command", str, "run"), ("task", str, "narma10")]
-    + _field_specs(ReservoirConfig)
-    + _field_specs(_StudyOptions),
-    bases=(_RunConfigMethods,),
-    namespace={
-        "__module__": __name__,
-        "__doc__": "Fully resolved run settings; every field has a default.",
-    },
-)
 
 
 def _parse_bool(text: str) -> bool:
@@ -176,8 +112,12 @@ def _parse_float_list(text: str) -> list[float]:
         if step <= 0:
             raise ValueError("range step must be positive")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return [float(start + i * step) for i in range(count)]
-    return [float(p) for p in text.split(",") if p.strip()]
+        values = [float(start + i * step) for i in range(count)]
+    else:
+        values = [float(p) for p in text.split(",") if p.strip()]
+    if not values:
+        raise ValueError(f"no values found in {text!r}")
+    return values
 
 
 def _parse_pair_list(text: str) -> list[tuple[float, float]]:
@@ -202,32 +142,85 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return (parts[0], parts[1])
 
 
-_TYPE_PARSERS = {int: int, float: float, bool: _parse_bool}
+# Parsers of the list- and pair-valued study options, kept as field metadata.
+_FLOATS = {"parse": _parse_float_list}
+_PAIRS = {"parse": _parse_pair_list}
 
-_PARSERS = {
-    "command": str,
-    "task": str,
-    **{
-        name: _TYPE_PARSERS[kind]
-        for name, kind in get_type_hints(ReservoirConfig).items()
+
+@dataclass
+class _StudyOptions:
+    """Study and output settings, listed after the reservoir fields. A
+    ``parse`` metadata entry names the parser of an option whose type has
+    none."""
+
+    trials: int | None = None
+    workers: int = 1
+    lambda_grid: list = field(default_factory=default_lambda_grid, metadata=_FLOATS)
+    rho_grid: list = field(default_factory=default_rho_grid, metadata=_FLOATS)
+    density_grid: list = field(
+        default_factory=lambda: [0.05, 0.1, 0.2, 0.5, 1.0], metadata=_FLOATS
+    )
+    beta_grid: list = field(default_factory=default_beta_grid, metadata=_FLOATS)
+    k_max: int = 100
+    nodes: list | None = field(default=None, metadata=_PAIRS)
+    weight_inits: list = field(
+        default_factory=lambda: [
+            (0.4, 0.4),
+            (5.0, 1.0),
+            (1.0, 5.0),
+            (10.0, 10.0),
+            (1.0, 1.0),
+            (0.0001, 0.0001),
+        ],
+        metadata=_PAIRS,
+    )
+    weight_betas: list = field(
+        default_factory=lambda: [-float(np.pi) / 2, 0.0, float(np.pi) / 2],
+        metadata=_FLOATS,
+    )
+    bins: int = 50
+    length: int = 1200
+    column: str | None = None
+    normalize: tuple | None = field(default=None, metadata={"parse": _parse_pair})
+    outdir: str = ""
+    format: str = "csv"
+
+
+def _field_specs(cls) -> list[tuple]:
+    specs = []
+    for f in fields(cls):
+        copy = field(default=f.default, default_factory=f.default_factory, metadata=f.metadata)
+        specs.append((f.name, f.type, copy))
+    return specs
+
+
+# The command and task, every ReservoirConfig field (same names and
+# defaults), then the study options; config.txt lists them in this order.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("command", str, "run"), ("task", str, "narma10")]
+    + _field_specs(ReservoirConfig)
+    + _field_specs(_StudyOptions),
+    bases=(_RunConfigMethods,),
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Fully resolved run settings; every field has a default.",
     },
-    "trials": int,
-    "workers": int,
-    "lambda_grid": _parse_float_list,
-    "rho_grid": _parse_float_list,
-    "density_grid": _parse_float_list,
-    "beta_grid": _parse_float_list,
-    "k_max": int,
-    "nodes": _parse_pair_list,
-    "weight_inits": _parse_pair_list,
-    "weight_betas": _parse_float_list,
-    "bins": int,
-    "length": int,
-    "column": str,
-    "normalize": _parse_pair,
-    "outdir": str,
-    "format": str,
+)
+
+
+_TYPE_PARSERS = {int: int, float: float, bool: _parse_bool, str: str}
+
+# One parser per RunConfig field: its ``parse`` metadata, else the parser
+# of its declared type (of ``T`` for ``T | None``).
+_PARSERS = {
+    name: RunConfig.__dataclass_fields__[name].metadata.get("parse")
+    or _TYPE_PARSERS[(get_args(hint) or (hint,))[0]]
+    for name, hint in get_type_hints(RunConfig).items()
 }
+
+# Keys whose unset value, None, is echoed as an empty string.
+_OPTIONAL_KEYS = {f.name for f in fields(RunConfig) if f.default is None}
 
 
 def _read_config_file(path) -> dict[str, str]:
@@ -257,7 +250,9 @@ def _canonical(entries: dict) -> dict:
 def _convert(key: str, value):
     if isinstance(value, str):
         if value == "":  # echoed form of an unset optional key
-            return None
+            if key in _OPTIONAL_KEYS:
+                return None
+            raise ValueError(f"config key {key!r}: empty value")
         try:
             return _PARSERS[key](value)
         except ValueError as exc:
@@ -380,7 +375,7 @@ def write_result(
         }
         path = out / "result.json"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+            json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
             fh.write("\n")
         written.append(str(path))
 
@@ -393,8 +388,12 @@ def write_result(
 
 
 def _json_value(value):
+    """A JSON-ready cell; non-finite floats, which JSON cannot spell, become
+    null."""
     if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
     return value
 
 
@@ -435,24 +434,12 @@ def _sweep_spec(cfg: RunConfig, axes: dict) -> SweepSpec:
         trials=cfg.resolved_trials(),
         master_seed=cfg.seed,
         workers=cfg.workers,
-        task_kwargs=_task_kwargs(cfg),
+        task_kwargs={"column": cfg.column, "normalize": cfg.normalize},
     )
 
 
-def _task_kwargs(cfg: RunConfig) -> dict:
-    kwargs = {}
-    if cfg.column is not None:
-        kwargs["column"] = cfg.column
-    if cfg.normalize is not None:
-        kwargs["normalize"] = cfg.normalize
-    return kwargs
-
-
 def _diagonal_nodes(cfg: RunConfig) -> list[tuple[float, float]]:
-    lams = cfg.lambda_grid
-    rhos = cfg.rho_grid
-    count = min(len(lams), len(rhos))
-    return [(float(lams[i]), float(rhos[i])) for i in range(count)]
+    return [(float(lam), float(rho)) for lam, rho in zip(cfg.lambda_grid, cfg.rho_grid)]
 
 
 def dispatch(cfg: RunConfig) -> int:
@@ -461,29 +448,23 @@ def dispatch(cfg: RunConfig) -> int:
     Returns 0 only when the study ran without any faulted cells.
     """
     command = cfg.command
+    grid = {"lam": list(cfg.lambda_grid), "spectral_target": list(cfg.rho_grid)}
     if command == "run":
         result = _single_run_result(cfg)
     elif command == "spectrum":
         result = _spectrum_result(cfg)
     elif command == "sweep":
-        result = run_grid_sweep(
-            _sweep_spec(
-                cfg, {"lam": list(cfg.lambda_grid), "spectral_target": list(cfg.rho_grid)}
-            )
-        )
+        result = run_grid_sweep(_sweep_spec(cfg, grid))
     elif command == "mc":
-        spec = _sweep_spec(
-            cfg, {"lam": list(cfg.lambda_grid), "spectral_target": list(cfg.rho_grid)}
-        )
         nodes = cfg.nodes if cfg.nodes is not None else _diagonal_nodes(cfg)
-        result = run_mc_study(spec, nodes, k_max=cfg.k_max)
+        result = run_mc_study(_sweep_spec(cfg, grid), nodes, k_max=cfg.k_max)
     elif command == "sparsity":
         result = run_sparsity_sweep(_sweep_spec(cfg, {"density": list(cfg.density_grid)}))
     elif command == "astringency":
         result = run_astringency(_sweep_spec(cfg, {"density": list(cfg.density_grid)}))
     elif command == "beta-sweep":
         result = run_beta_sweep(_sweep_spec(cfg, {"beta": list(cfg.beta_grid)}))
-    elif command == "weights":
+    else:  # "weights"; RunConfig has validated the command
         spec = _sweep_spec(cfg, {"beta": list(cfg.weight_betas)})
         result = run_weight_distribution_study(
             spec,
@@ -491,8 +472,6 @@ def dispatch(cfg: RunConfig) -> int:
             [float(b) for b in cfg.weight_betas],
             bins=cfg.bins,
         )
-    else:  # unreachable: RunConfig validates the command
-        raise ValueError(f"unknown command {command!r}")
     write_result(result, cfg.format, cfg.outdir, cfg)
     print(
         f"{command}: wrote {len(result.records)} records to {cfg.outdir}"

@@ -217,23 +217,37 @@ def _records(keys: list[dict], outcomes: list[dict], values) -> list[dict]:
     return [{**key, **nan, "fault": "", **out} for key, out in zip(keys, outcomes)]
 
 
-def _pipeline_payload(
-    spec: SweepSpec, index: int, trial: int, overrides: dict, **extra
-) -> dict:
-    """Job of one pipeline run: the base config with ``overrides``, its
-    network seeded by (index, trial) and its task by the trial alone."""
-    cfg = replace(
-        spec.base,
-        **overrides,
-        seed=derive_seed(spec.master_seed, _NET_STREAM, index, trial),
-    )
-    return {
-        "cfg": asdict(cfg),
-        "task": spec.task,
-        "task_seed": derive_seed(spec.master_seed, _TASK_STREAM, trial),
-        "task_kwargs": spec.task_kwargs,
-        **extra,
-    }
+def _trial_records(
+    spec: SweepSpec, fn, cells: list, values, seeds: bool = False, **extra
+) -> list[dict]:
+    """Records of ``fn`` over every trial of every (seed index, key) cell.
+
+    A job's config is the base with the key's config fields, its network
+    seeded by (seed index, trial) and its task by the trial alone; the
+    payload carries the key and ``extra``, plus a memory-capacity seed when
+    ``extra`` has ``k_max``. With ``seeds`` the record keys carry both seeds.
+    """
+    payloads = []
+    keys = []
+    for index, key in cells:
+        overrides = {name: v for name, v in key.items() if name in _CONFIG_FIELDS}
+        for t in range(spec.trials):
+            net_seed = derive_seed(spec.master_seed, _NET_STREAM, index, t)
+            task_seed = derive_seed(spec.master_seed, _TASK_STREAM, t)
+            payload = {
+                "cfg": asdict(replace(spec.base, **overrides, seed=net_seed)),
+                "key": key,
+                "task": spec.task,
+                "task_seed": task_seed,
+                "task_kwargs": spec.task_kwargs,
+                **extra,
+            }
+            if "k_max" in payload:
+                payload["mc_seed"] = derive_seed(spec.master_seed, _MC_STREAM, index, t)
+            payloads.append(payload)
+            seed_columns = {"net_seed": net_seed, "task_seed": task_seed}
+            keys.append({**key, "trial": t, **(seed_columns if seeds else {})})
+    return _records(keys, _run_jobs(fn, payloads, spec.workers), values)
 
 
 def _pipeline_job(payload: dict) -> dict:
@@ -276,22 +290,10 @@ def _grid_sweep(spec: SweepSpec, quartiles: bool = False, **extra) -> Experiment
     """The grid sweep, its aggregates with boxplot statistics when
     ``quartiles`` is set; ``extra`` goes into every job's payload."""
     group = ["cell_index", *spec.axes]
-    payloads = []
-    keys = []
-    for ci, cell in enumerate(spec.cells()):
-        for t in range(spec.trials):
-            payloads.append(_pipeline_payload(spec, ci, t, cell, **extra))
-            keys.append(
-                {
-                    "cell_index": ci,
-                    **cell,
-                    "trial": t,
-                    "net_seed": payloads[-1]["cfg"]["seed"],
-                    "task_seed": payloads[-1]["task_seed"],
-                }
-            )
-    outcomes = _run_jobs(_pipeline_job, payloads, spec.workers)
-    records = _records(keys, outcomes, _PIPELINE_VALUES)
+    cells = [(ci, {"cell_index": ci, **cell}) for ci, cell in enumerate(spec.cells())]
+    records = _trial_records(
+        spec, _pipeline_job, cells, _PIPELINE_VALUES, seeds=True, **extra
+    )
     key_columns = group + ["trial", "net_seed", "task_seed"]
     return _make_result(
         records, key_columns, _PIPELINE_VALUES, group, quartiles=quartiles
@@ -317,27 +319,14 @@ def run_mc_study(
     group = ["node_index", "lam", "spectral_target"]
     key_columns = group + ["trial"]
     values = (*_PIPELINE_VALUES, "mc_total")
-    payloads = []
-    keys = []
-    for ni, (lam, rho) in enumerate(sample_nodes):
-        node = {"lam": lam, "spectral_target": rho}
-        for t in range(spec.trials):
-            payloads.append(
-                _pipeline_payload(
-                    spec,
-                    ni,
-                    t,
-                    node,
-                    k_max=k_max,
-                    mc_seed=derive_seed(spec.master_seed, _MC_STREAM, ni, t),
-                )
-            )
-            keys.append({"node_index": ni, **node, "trial": t})
-    outcomes = _run_jobs(_pipeline_job, payloads, spec.workers)
-    records = _records(keys, outcomes, values)
+    cells = [
+        (ni, {"node_index": ni, "lam": lam, "spectral_target": rho})
+        for ni, (lam, rho) in enumerate(sample_nodes)
+    ]
+    records = _trial_records(spec, _pipeline_job, cells, values, k_max=k_max)
     curve_rows = [
-        {**key, "delay": k, "coefficient": float(coeff)}
-        for key, rec in zip(keys, records)
+        {**{c: rec[c] for c in key_columns}, "delay": k, "coefficient": float(coeff)}
+        for rec in records
         for k, coeff in enumerate(rec.pop("mc_curve", ()), start=1)
     ]
     tables = {"mc_curve": (key_columns + ["delay", "coefficient"], curve_rows)}
@@ -360,16 +349,12 @@ def run_sparsity_sweep(spec: SweepSpec) -> ExperimentResult:
     densities = spec.axes.get("density")
     if densities is None:
         raise ValueError("sparsity sweep needs a 'density' axis")
-    payloads = []
-    keys = []
-    for di, density in enumerate(densities):
-        for adaptive in (True, False):
-            cell = {"density": density, "adaptive": adaptive}
-            for t in range(spec.trials):
-                payloads.append(_pipeline_payload(spec, di, t, cell))
-                keys.append({"density_index": di, **cell, "trial": t})
-    outcomes = _run_jobs(_pipeline_job, payloads, spec.workers)
-    records = _records(keys, outcomes, _PIPELINE_VALUES)
+    cells = [
+        (di, {"density_index": di, "density": density, "adaptive": adaptive})
+        for di, density in enumerate(densities)
+        for adaptive in (True, False)
+    ]
+    records = _trial_records(spec, _pipeline_job, cells, _PIPELINE_VALUES)
     group = ["density_index", "density", "adaptive"]
     return _make_result(
         records, group + ["trial"], _PIPELINE_VALUES, group, ["test_mse", "train_mse"]
@@ -467,7 +452,8 @@ def run_beta_sweep(spec: SweepSpec) -> ExperimentResult:
 
 def _weight_job(payload: dict) -> dict:
     cfg = ReservoirConfig(**payload["cfg"])
-    net = cfg.build_network(weight_init=payload["weight_init"])
+    key = payload["key"]
+    net = cfg.build_network(weight_init=(key["initial_a"], key["initial_b"]))
     bins = payload["bins"]
     snapshots = []
 
@@ -512,35 +498,12 @@ def run_weight_distribution_study(
         raise ValueError("initial_params and betas must be nonempty")
     steps = dev_steps if dev_steps is not None else spec.base.len_adev
     inputs = _develop_inputs(spec, steps)
-    payloads = []
-    keys = []
-    for ci, ((a, b), beta) in enumerate(itertools.product(initial_params, betas)):
-        for t in range(spec.trials):
-            cfg = replace(
-                spec.base,
-                beta=beta,
-                seed=derive_seed(spec.master_seed, _NET_STREAM, ci, t),
-            )
-            payloads.append(
-                {
-                    "cfg": asdict(cfg),
-                    "weight_init": (a, b),
-                    "inputs": inputs,
-                    "bins": bins,
-                }
-            )
-            keys.append(
-                {
-                    "combo_index": ci,
-                    "initial_a": a,
-                    "initial_b": b,
-                    "beta": beta,
-                    "trial": t,
-                }
-            )
-    outcomes = _run_jobs(_weight_job, payloads, spec.workers)
+    cells = [
+        (ci, {"combo_index": ci, "initial_a": a, "initial_b": b, "beta": beta})
+        for ci, ((a, b), beta) in enumerate(itertools.product(initial_params, betas))
+    ]
     values = ("n_live", "fitted_a", "fitted_b")
-    records = _records(keys, outcomes, values)
+    records = _trial_records(spec, _weight_job, cells, values, inputs=inputs, bins=bins)
     snapshot_rows = []
     final_rows = []
     for rec in records:

@@ -326,14 +326,11 @@ def run_pipeline(cfg: ReservoirConfig, data: TaskData) -> PipelineResult:
             f"run needs {train_span + cfg.len_test} samples, "
             f"task data provides {len(data)}"
         )
-    train_data = TaskData(
-        inputs=data.inputs[:train_span], targets=data.targets[:train_span]
-    )
     test_data = TaskData(
         inputs=data.inputs[train_span : train_span + cfg.len_test],
         targets=data.targets[train_span : train_span + cfg.len_test],
     )
-    net, trace = develop_and_collect(cfg, train_data)
+    net, trace = develop_and_collect(cfg, data)
     readout = train_readout(
         trace,
         trace.targets,

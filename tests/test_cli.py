@@ -117,6 +117,30 @@ class TestParseConfig:
         monkeypatch.setenv("KURAMOTO_RC_OUTDIR", "/tmp/custom-results")
         assert RunConfig().outdir == "/tmp/custom-results"
 
+    @pytest.mark.parametrize("key", ["workers", "seed", "lam", "command", "outdir"])
+    def test_empty_value_of_a_required_key_names_it(self, key):
+        with pytest.raises(ValueError, match=f"config key '{key}': empty value"):
+            parse_config(None, {key: ""})
+
+    def test_empty_value_unsets_an_optional_key(self):
+        cfg = parse_config(
+            None, {"trials": "", "nodes": "", "column": "", "normalize": ""}
+        )
+        assert (cfg.trials, cfg.nodes, cfg.column, cfg.normalize) == (None,) * 4
+
+    @pytest.mark.parametrize("text", ["2:1:1", ",", " , "])
+    def test_empty_float_list_names_key(self, text):
+        with pytest.raises(ValueError, match="lambda_grid.*no values"):
+            parse_config(None, {"lambda_grid": text})
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [("bins", "0"), ("k_max", "0"), ("length", "1"), ("workers", "0")],
+    )
+    def test_out_of_range_study_option_names_key(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be at least"):
+            parse_config(None, {key: value})
+
     def test_reservoir_config_mirrors_fields(self):
         cfg = parse_config(None, {"n": "40", "density": "0.2", "seed": "4"})
         rc = cfg.reservoir_config()
@@ -204,11 +228,22 @@ class TestWriteResult:
             write_result(result, "csv", tmp_path, parse_config(None, TINY))
 
     def test_config_echo_reparses_identically(self, tmp_path):
-        cfg = parse_config(None, dict(TINY, task="mso12", command="sweep"))
+        # The defaults, then a non-default value of every option kind:
+        # optional, pair-list, pair, and string.
+        every_kind = {
+            "nodes": "4.0,0.9;0.5,1.25",
+            "weight_inits": "0.4,0.4;10,1",
+            "normalize": "-0.5,0.5",
+            "column": "y",
+            "trials": "3",
+        }
         result = self.make_result()
-        write_result(result, "csv", tmp_path, cfg)
-        echoed = parse_config(tmp_path / "config.txt", {})
-        assert echoed == cfg
+        for i, extra in enumerate([{}, every_kind]):
+            cfg = parse_config(None, dict(TINY, task="mso12", command="sweep", **extra))
+            write_result(result, "csv", tmp_path / str(i), cfg)
+            echoed = parse_config(tmp_path / str(i) / "config.txt", {})
+            assert echoed == cfg
+        assert (echoed.nodes, echoed.normalize) == ([(4.0, 0.9), (0.5, 1.25)], (-0.5, 0.5))
 
     def test_json_format(self, tmp_path):
         result = self.make_result()
@@ -321,28 +356,45 @@ class TestDispatch:
         _, rows = read_csv(tmp_path / "wt" / "table_final_hist.csv")
         assert len(rows) == 8
 
+    # A coupling strength that makes every job's phases overflow.
+    DIVERGING = dict(
+        n=20,
+        len_adev=60,
+        len_train=80,
+        len_test=10,
+        lam=1e308,
+        spectral_target=2.0,
+        density=0.3,
+        density_grid="0.3",
+        weight_inits="1,1",
+        weight_betas="0.0",
+        trials=2,
+    )
+
     @pytest.mark.parametrize("command", ["astringency", "weights"])
     def test_diverging_jobs_are_recorded(self, tmp_path, command):
-        _, code = self.run_cli(
-            tmp_path,
-            command,
-            n=20,
-            len_adev=60,
-            len_train=80,
-            len_test=10,
-            lam=1e308,
-            spectral_target=2.0,
-            density=0.3,
-            density_grid="0.3",
-            weight_inits="1,1",
-            weight_betas="0.0",
-            trials=2,
-        )
+        _, code = self.run_cli(tmp_path, command, **self.DIVERGING)
         assert code == 1
         _, rows = read_csv(tmp_path / "records.csv")
         assert rows and all("FloatingPointError" in row[-1] for row in rows)
         _, aggregates = read_csv(tmp_path / "aggregates.csv")
         assert aggregates[0][-1] == "nan"
+
+    @pytest.mark.parametrize("command", ["astringency", "weights"])
+    def test_faulted_json_is_strict(self, tmp_path, command):
+        # JSON has no NaN: faulted values are written as null.
+        _, code = self.run_cli(tmp_path, command, format="json", **self.DIVERGING)
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        text = (tmp_path / "result.json").read_text()
+        payload = json.loads(text, parse_constant=reject)
+        assert payload["records"]
+        for rec in payload["records"]:
+            assert "FloatingPointError" in rec["fault"]
+        assert payload["aggregates"][0][payload["aggregate_columns"][-1]] is None
 
     def test_diverging_run_is_recorded(self, tmp_path):
         # The same fault as a 1x1 sweep: NaN values, the message, all files.

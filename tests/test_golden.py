@@ -1,4 +1,5 @@
-"""Golden outputs: every CLI subcommand at a tiny config, byte for byte.
+"""Golden outputs: every CLI subcommand at a tiny config, and ``mc`` in
+JSON form, byte for byte.
 
 Each subcommand runs in its own process with BLAS threads pinned to 1 and
 two workers. The SHA-256 digest of every file it writes must equal the
@@ -33,6 +34,9 @@ COMMANDS = (
     "spectrum",
 )
 
+# Each case is a subcommand, then any flags it takes beyond FLAGS.
+CASES = COMMANDS + ("mc --format json",)
+
 HALF_PI = "1.5707963267948966"
 
 FLAGS = [
@@ -63,6 +67,10 @@ GOLDEN = {
         "aggregates.csv": "b327d09be1da50c83b94c44d6007452123ad5322a6a747be349a6bc891b41c71",
         "config.txt": "a16bd87947f7d4847aacdc4d8f97dc49603339ac6d045df9c83a9cd77f3f6593",
         "records.csv": "2a3c78cfcf8b9e3ecd0ca817485015629e1ae5a6eb0ce445e49694f3caa63d1a",
+    },
+    "mc --format json": {
+        "config.txt": "034d74686aff0549223fa17b8b04a1d1af263b64ec89a01da02ebdb1cd7ee172",
+        "result.json": "d10e9b9dc535fb5b0d71b4f2216b839546153fb8cb7a3be61ce0fc816567ac4c",
     },
     "mc": {
         "aggregates.csv": "436657ec9a5b2ccf4a95fa95e33120615e7a783880d51830a9c39230235cc9a4",
@@ -101,8 +109,9 @@ GOLDEN = {
 }
 
 
-def run_command(command: str, outdir: Path) -> dict[str, str]:
-    """Run one subcommand into ``outdir``; digest of every file written."""
+def run_command(case: str, outdir: Path) -> dict[str, str]:
+    """Run one case into ``outdir``; digest of every file written."""
+    command, *extra = case.split()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -110,7 +119,8 @@ def run_command(command: str, outdir: Path) -> dict[str, str]:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     proc = subprocess.run(
-        [sys.executable, "-m", "kuramoto_rc", command, *FLAGS, "--outdir", str(outdir)],
+        [sys.executable, "-m", "kuramoto_rc", command, *FLAGS, *extra]
+        + ["--outdir", str(outdir)],
         env=env,
         capture_output=True,
         text=True,
@@ -130,17 +140,17 @@ def run_command(command: str, outdir: Path) -> dict[str, str]:
     return digests
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_outputs_match_golden(command, tmp_path):
-    assert run_command(command, tmp_path / command) == GOLDEN[command]
+@pytest.mark.parametrize("case", CASES)
+def test_outputs_match_golden(case, tmp_path):
+    assert run_command(case, tmp_path / "out") == GOLDEN[case]
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for command in COMMANDS:
-            old, new = GOLDEN[command], run_command(command, Path(tmp) / command)
+        for i, case in enumerate(CASES):
+            old, new = GOLDEN[case], run_command(case, Path(tmp) / str(i))
             for name in sorted(old.keys() | new.keys()):
                 if old.get(name) != new.get(name):
-                    print(f"{command} {name}: {old.get(name)} -> {new.get(name)}")
+                    print(f"{case} {name}: {old.get(name)} -> {new.get(name)}")
