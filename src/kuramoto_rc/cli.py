@@ -38,6 +38,7 @@ from .experiments import (
     run_sparsity_sweep,
     run_weight_distribution_study,
 )
+from .metrics import MC_WASHOUT
 from .reservoir import ReservoirConfig
 from .tasks import make_task, spectrum
 
@@ -84,6 +85,14 @@ class _RunConfigMethods:
             value = getattr(self, key)
             if value is not None and value < low:
                 raise ValueError(f"{key} must be at least {low}")
+        if self.k_max > MC_WASHOUT:
+            raise ValueError(
+                f"k_max must be at most {MC_WASHOUT}, the memory-capacity washout"
+            )
+        if not self.task.startswith("file:"):
+            for key in ("column", "normalize"):
+                if getattr(self, key) is not None:
+                    raise ValueError(f"{key} applies only to file: tasks")
 
     def reservoir_config(self) -> ReservoirConfig:
         values = {f.name: getattr(self, f.name) for f in fields(ReservoirConfig)}

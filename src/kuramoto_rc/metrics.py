@@ -11,6 +11,10 @@ import scipy.linalg
 from .network import OscillatorNetwork, phase_step
 from .reservoir import ReservoirConfig, build_features
 
+# Input steps memory_capacity discards before it collects states, by
+# default; no delay may reach further back than the washout.
+MC_WASHOUT = 100
+
 
 @dataclass
 class McCurve:
@@ -67,7 +71,7 @@ def memory_capacity(
     developed_net: OscillatorNetwork,
     k_max: int = 100,
     seed: int = 0,
-    washout: int = 100,
+    washout: int = MC_WASHOUT,
     collect: int = 600,
     train_fraction: float = 0.7,
 ) -> McCurve:

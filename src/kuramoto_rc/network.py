@@ -222,9 +222,15 @@ def phase_step(net: OscillatorNetwork, u: float) -> np.ndarray:
 
     The input enters as a common phase offset inside the coupling term.
     Phases are re-wrapped to [0, 2*pi); the coupling matrix is untouched.
-    Returns the updated phase array (also stored on the network).
+    Returns the updated phase array (also stored on the network), a new
+    array. A non-finite phase raises FloatingPointError naming its index.
+
+    The update theta + dt * (omega + lambda * drive) is built in place on
+    one buffer. Multiplication and addition commute exactly in IEEE
+    arithmetic, so the reordered operands give the same bits as the
+    textbook order.
     """
-    if not np.isfinite(u):
+    if not math.isfinite(u):
         raise FloatingPointError(f"non-finite input value {u!r}")
     theta = net.phases
     # sin(theta_j - theta_i + u) expanded so only O(n) transcendentals
@@ -232,15 +238,24 @@ def phase_step(net: OscillatorNetwork, u: float) -> np.ndarray:
     shifted = theta + u
     ka = net.coupling @ np.sin(shifted)
     kb = net.coupling @ np.cos(shifted)
-    drive = np.cos(theta) * ka - np.sin(theta) * kb
-    theta = theta + net.timestep * (
-        net.natural_frequencies + net.global_coupling * drive
-    )
-    if not np.isfinite(theta).all():
-        bad = int(np.flatnonzero(~np.isfinite(theta))[0])
-        raise FloatingPointError(f"non-finite phase at oscillator index {bad}")
-    net.phases = np.mod(theta, TWO_PI)
-    return net.phases
+    step = np.cos(theta)
+    step *= ka
+    kb *= np.sin(theta)
+    step -= kb
+    step *= net.global_coupling
+    step += net.natural_frequencies
+    step *= net.timestep
+    step += theta
+    np.mod(step, TWO_PI, out=step)
+    # The wrap maps a non-finite phase to NaN, which fails this test, and
+    # rounds a phase just below 0 up to 2*pi, which is folded back to 0.
+    if not step.max() < TWO_PI:
+        if np.isnan(step).any():
+            bad = int(np.flatnonzero(np.isnan(step))[0])
+            raise FloatingPointError(f"non-finite phase at oscillator index {bad}")
+        step[step == TWO_PI] = 0.0
+    net.phases = step
+    return step
 
 
 def coupling_step(net: OscillatorNetwork) -> np.ndarray:

@@ -182,18 +182,36 @@ def build_features(
     first. The dynamics are invariant under a common phase shift, so the
     mean phase integrates the input without fading; centering removes that
     non-stationary mode from the features.
+
+    The mean angle is the circular mean m = atan2(mean sin, mean cos), and
+    the centred features come from one sine and one cosine pass through
+    the difference identities sin(theta - m) = sin theta cos m -
+    cos theta sin m and cos(theta - m) = cos theta cos m + sin theta sin m.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    if use_trig:
-        if center:
-            mean_angle = np.angle(np.exp(1j * states).mean(axis=1, keepdims=True))
-            states = states - mean_angle
-        parts = [np.sin(states), np.cos(states)]
-    else:
-        parts = [states]
+    if not use_trig:
+        parts = [states, np.ones((states.shape[0], 1))] if use_bias else [states]
+        return np.hstack(parts)
+    rows, n = states.shape
+    out = np.empty((rows, 2 * n + use_bias))
+    sines, cosines = out[:, :n], out[:, n : 2 * n]
+    np.sin(states, out=sines)
+    np.cos(states, out=cosines)
+    if center:
+        # atan2 of the row sums: the same angle as of the row means.
+        mean_angle = np.arctan2(
+            sines.sum(axis=1, keepdims=True), cosines.sum(axis=1, keepdims=True)
+        )
+        cos_m, sin_m = np.cos(mean_angle), np.sin(mean_angle)
+        sin_sin_m = sines * sin_m
+        cos_sin_m = cosines * sin_m
+        sines *= cos_m
+        sines -= cos_sin_m
+        cosines *= cos_m
+        cosines += sin_sin_m
     if use_bias:
-        parts.append(np.ones((states.shape[0], 1)))
-    return np.hstack(parts)
+        out[:, -1] = 1.0
+    return out
 
 
 def develop_and_collect(

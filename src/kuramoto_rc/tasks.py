@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -318,13 +319,15 @@ def make_task(
     """Build task data from a preset name.
 
     Presets: ``narma10``, ``mg17``, ``mso12``, and ``file:<path>``.
+
+    A generated preset is built once per process for each (preset, length,
+    seed): later calls share its read-only arrays, each with a fresh
+    ``meta`` dict. A ``file:`` task is read again on every call.
     """
-    if preset == "narma10":
-        return gen_narma10(length, seed)
-    if preset == "mg17":
-        return gen_mackey_glass(length, seed=seed)
-    if preset == "mso12":
-        return gen_mso(length)
+    if preset in _GENERATED:
+        # mso12 ignores its seed, so one entry serves every trial.
+        cached = _generated_task(preset, length, 0 if preset == "mso12" else seed)
+        return TaskData(cached.inputs, cached.targets, dict(cached.meta))
     if preset.startswith("file:"):
         data = load_series(preset[5:], column=column, normalize=normalize)
         if len(data.inputs) < length:
@@ -333,3 +336,22 @@ def make_task(
             )
         return data
     raise ValueError(f"unknown task preset {preset!r}")
+
+
+_GENERATED = ("narma10", "mg17", "mso12")
+
+
+# A study seeds its tasks by trial alone, and its jobs run cell by cell with
+# the trials inside, so each cell cycles through `trials` keys: the cache
+# holds more than the largest default trial count (50) to reuse them.
+@lru_cache(maxsize=64)
+def _generated_task(preset: str, length: int, seed: int) -> TaskData:
+    if preset == "narma10":
+        data = gen_narma10(length, seed)
+    elif preset == "mg17":
+        data = gen_mackey_glass(length, seed=seed)
+    else:
+        data = gen_mso(length)
+    data.inputs.flags.writeable = False
+    data.targets.flags.writeable = False
+    return data

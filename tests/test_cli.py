@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kuramoto_rc import cli
 from kuramoto_rc.cli import (
     RunConfig,
     _format_value,
@@ -141,6 +142,19 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"{key} must be at least"):
             parse_config(None, {key: value})
 
+    def test_k_max_above_the_washout_names_key(self):
+        with pytest.raises(ValueError, match="k_max must be at most 100"):
+            parse_config(None, {"command": "mc", "k_max": "101"})
+        assert parse_config(None, {"command": "mc", "k_max": "100"}).k_max == 100
+
+    @pytest.mark.parametrize(("key", "value"), [("column", "y"), ("normalize", "0,1")])
+    @pytest.mark.parametrize("task", ["narma10", "mg17", "mso12"])
+    def test_file_options_with_a_generated_task_name_key(self, key, value, task):
+        with pytest.raises(ValueError, match=f"{key} applies only to file: tasks"):
+            parse_config(None, {"task": task, key: value})
+        cfg = parse_config(None, {"task": "file:series.csv", key: value})
+        assert getattr(cfg, key) is not None
+
     def test_reservoir_config_mirrors_fields(self):
         cfg = parse_config(None, {"n": "40", "density": "0.2", "seed": "4"})
         rc = cfg.reservoir_config()
@@ -229,7 +243,8 @@ class TestWriteResult:
 
     def test_config_echo_reparses_identically(self, tmp_path):
         # The defaults, then a non-default value of every option kind:
-        # optional, pair-list, pair, and string.
+        # optional, pair-list, pair, and string. Only a file task takes a
+        # column and a normalization range.
         every_kind = {
             "nodes": "4.0,0.9;0.5,1.25",
             "weight_inits": "0.4,0.4;10,1",
@@ -239,7 +254,8 @@ class TestWriteResult:
         }
         result = self.make_result()
         for i, extra in enumerate([{}, every_kind]):
-            cfg = parse_config(None, dict(TINY, task="mso12", command="sweep", **extra))
+            task = "file:series.csv" if extra else "mso12"
+            cfg = parse_config(None, dict(TINY, task=task, command="sweep", **extra))
             write_result(result, "csv", tmp_path / str(i), cfg)
             echoed = parse_config(tmp_path / str(i) / "config.txt", {})
             assert echoed == cfg
@@ -511,6 +527,40 @@ class TestMain:
         code = main(["run", "--seed", "xyz", "--outdir", str(tmp_path)])
         assert code == 1
         assert "seed" in capsys.readouterr().err
+
+    def test_k_max_above_the_washout_fails_before_any_job(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_study(*args, **kwargs):
+            raise AssertionError("a study ran")
+
+        monkeypatch.setattr(cli, "run_mc_study", no_study)
+        flags = ["--n", "20", "--len-adev", "8", "--len-train", "40", "--len-test", "10"]
+        flags += ["--lambda-grid", "2", "--rho-grid", "0.4", "--trials", "1"]
+        outdir = tmp_path / "out"
+        code = main(["mc", *flags, "--k-max", "101", "--outdir", str(outdir)])
+        assert code == 1
+        assert "k_max must be at most 100" in capsys.readouterr().err
+        assert not outdir.exists()
+        monkeypatch.undo()
+        code = main(["mc", *flags, "--k-max", "100", "--outdir", str(outdir)])
+        assert code == 0
+        _, rows = read_csv(outdir / "table_mc_curve.csv")
+        assert len(rows) == 100
+
+    @pytest.mark.parametrize(
+        "flags", [["--column", "y"], ["--normalize", "0,1"]], ids=["column", "normalize"]
+    )
+    @pytest.mark.parametrize("command", ["run", "spectrum"])
+    def test_file_options_with_a_generated_task_fail(
+        self, tmp_path, capsys, command, flags
+    ):
+        outdir = tmp_path / "out"
+        code = main([command, "--task", "mso12", *flags, "--outdir", str(outdir)])
+        assert code == 1
+        key = flags[0][2:]
+        assert f"{key} applies only to file: tasks" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_unknown_subcommand_exits_with_usage(self, capsys):
         with pytest.raises(SystemExit):

@@ -189,6 +189,102 @@ class TestPhaseStep:
             phase_step(net, 0.0)
 
 
+def reference_phase_step(net, u):
+    """The phase step before it was built in place on one buffer, kept as
+    its bit-for-bit reference."""
+    if not np.isfinite(u):
+        raise FloatingPointError(f"non-finite input value {u!r}")
+    theta = net.phases
+    shifted = theta + u
+    ka = net.coupling @ np.sin(shifted)
+    kb = net.coupling @ np.cos(shifted)
+    drive = np.cos(theta) * ka - np.sin(theta) * kb
+    theta = theta + net.timestep * (
+        net.natural_frequencies + net.global_coupling * drive
+    )
+    if not np.isfinite(theta).all():
+        bad = int(np.flatnonzero(~np.isfinite(theta))[0])
+        raise FloatingPointError(f"non-finite phase at oscillator index {bad}")
+    net.phases = np.mod(theta, TWO_PI)
+    return net.phases
+
+
+@st.composite
+def phase_cases(draw):
+    """A network with arbitrary phases, frequencies and masked weights,
+    and the inputs of up to 20 steps; unit and other timesteps."""
+    n = draw(st.integers(1, 30))
+    density = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    phases = draw(
+        st.lists(
+            st.floats(0.0, TWO_PI, exclude_max=True), min_size=n, max_size=n
+        )
+    )
+    omega = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) < density
+    np.fill_diagonal(mask, False)
+    net = OscillatorNetwork(
+        phases=np.array(phases),
+        natural_frequencies=np.array(omega),
+        coupling=np.where(mask, rng.uniform(-1.0, 1.0, (n, n)), 0.0),
+        mask=mask,
+        global_coupling=draw(st.floats(0.01, 10.0)),
+        character_parameter=0.0,
+        adaptation_rate=0.1,
+        timestep=draw(st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.01, 2.0))),
+    )
+    inputs = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20))
+    return net, inputs
+
+
+class TestPhaseStepKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=phase_cases())
+    def test_in_place_step_equals_reference(self, case):
+        net, inputs = case
+        reference = net.copy()
+        for u in inputs:
+            stepped = phase_step(net, u)
+            expected = reference_phase_step(reference, u)
+            # The one intended difference: a phase just below 0, which the
+            # wrap rounds up to 2*pi, now lands on 0.
+            expected[expected == TWO_PI] = 0.0
+            assert np.array_equal(stepped, expected)
+            assert stepped is net.phases
+
+    def test_phase_just_below_zero_wraps_to_zero(self):
+        net = two_node_net([0.0, 1.0], np.zeros((2, 2)), omega=[-1e-300, 0.0])
+        assert reference_phase_step(net.copy(), 0.0)[0] == TWO_PI
+        assert phase_step(net, 0.0)[0] == 0.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=phase_cases())
+    def test_phases_stay_in_unit_circle(self, case):
+        net, inputs = case
+        for u in inputs:
+            phase_step(net, u)
+            assert np.all(net.phases >= 0.0) and np.all(net.phases < TWO_PI)
+
+    @pytest.mark.parametrize("bad", [0, 3, 6])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_phase_names_the_reference_index(self, bad, value):
+        net = init_network(7, 0.5, seed=1, frequency_scale=0.1)
+        net.natural_frequencies[bad] = value
+        reference = net.copy()
+        with pytest.raises(FloatingPointError) as expected:
+            reference_phase_step(reference, 0.2)
+        with pytest.raises(FloatingPointError, match=f"index {bad}$") as raised:
+            phase_step(net, 0.2)
+        assert str(raised.value) == str(expected.value)
+
+    def test_numpy_scalar_input(self):
+        net = init_network(10, 0.3, seed=2)
+        reference = net.copy()
+        u = np.float64(0.25)
+        assert np.array_equal(phase_step(net, u), reference_phase_step(reference, u))
+
+
 def reference_coupling_step(net):
     """The full outer-product coupling step that the live-edge kernel
     replaced, kept as its bit-for-bit reference."""

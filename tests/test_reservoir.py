@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kuramoto_rc.network import order_parameter, phase_step
+from kuramoto_rc.network import TWO_PI, order_parameter, phase_step
 from kuramoto_rc.reservoir import (
     ReservoirConfig,
     Readout,
@@ -379,3 +381,66 @@ class TestBuildFeatures:
         a = build_features(row, use_trig=True, center=True)
         b = build_features(shifted, use_trig=True, center=True)
         assert np.allclose(a, b, atol=1e-10)
+
+
+def reference_build_features(states, use_bias=False, use_trig=False, center=False):
+    """The feature map before the sine/cosine pass was shared, with the
+    mean angle of the complex exponentials; kept as the reference."""
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    if use_trig:
+        if center:
+            mean_angle = np.angle(np.exp(1j * states).mean(axis=1, keepdims=True))
+            states = states - mean_angle
+        parts = [np.sin(states), np.cos(states)]
+    else:
+        parts = [states]
+    if use_bias:
+        parts.append(np.ones((states.shape[0], 1)))
+    return np.hstack(parts)
+
+
+@st.composite
+def phase_rows(draw):
+    """Phase rows in [0, 2*pi), from spread out to nearly locked."""
+    rows = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([1e-6, 0.1, 1.0, np.pi]))
+    centre = rng.uniform(0.0, TWO_PI, (rows, 1))
+    return np.mod(centre + rng.uniform(-spread, spread, (rows, n)), TWO_PI)
+
+
+class TestFeatureKernel:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(states=phase_rows(), use_bias=st.booleans())
+    def test_centred_features_match_the_reference(self, states, use_bias):
+        fast = build_features(states, use_bias, use_trig=True, center=True)
+        slow = reference_build_features(states, use_bias, use_trig=True, center=True)
+        assert fast.shape == slow.shape
+        r = np.array([order_parameter(row)[0] for row in states])
+        # The mean angle is ill-conditioned as r goes to 0.
+        ordered = r >= 1e-2
+        assert np.abs(fast - slow)[ordered].max(initial=0.0) <= 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(states=phase_rows(), use_bias=st.booleans(), use_trig=st.booleans())
+    def test_raw_and_uncentred_features_are_exact(self, states, use_bias, use_trig):
+        fast = build_features(states, use_bias, use_trig)
+        assert np.array_equal(fast, reference_build_features(states, use_bias, use_trig))
+        assert fast is not states
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(states=phase_rows(), shift=st.floats(-10.0, 10.0))
+    def test_common_shift_cancels_from_centred_features(self, states, shift):
+        r = np.array([order_parameter(row)[0] for row in states])
+        ordered = r >= 1e-2
+        a = build_features(states, use_trig=True, center=True)
+        b = build_features(np.mod(states + shift, TWO_PI), use_trig=True, center=True)
+        assert np.abs(a - b)[ordered].max(initial=0.0) <= 1e-12
+
+    def test_one_dimensional_row(self):
+        row = np.random.default_rng(3).uniform(0.0, TWO_PI, 9)
+        assert np.array_equal(
+            build_features(row, True, True, True),
+            build_features(row[None, :], True, True, True),
+        )

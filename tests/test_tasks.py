@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from kuramoto_rc.cli import TRIAL_DEFAULTS
 from kuramoto_rc.tasks import (
     MSO12_FREQUENCIES,
     MackeyGlassParams,
     MsoParams,
+    _generated_task,
     gen_mackey_glass,
     gen_mso,
     gen_narma10,
@@ -371,3 +373,45 @@ class TestMakeTask:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown task"):
             make_task("narma20", 100)
+
+    @pytest.mark.parametrize("preset", ["narma10", "mg17", "mso12"])
+    def test_generated_task_is_built_once(self, preset):
+        first = make_task(preset, 300, seed=4)
+        again = make_task(preset, 300, seed=4)
+        assert np.array_equal(first.inputs, again.inputs)
+        assert np.array_equal(first.targets, again.targets)
+        assert first.inputs is again.inputs
+        assert first.meta == again.meta and first.meta is not again.meta
+        other = make_task(preset, 300, seed=5)
+        assert (preset == "mso12") == np.array_equal(first.inputs, other.inputs)
+        # mso12 ignores its seed and keeps one cache entry for every seed.
+        assert (preset == "mso12") == (first.inputs is other.inputs)
+
+    def test_a_default_trial_cycle_reuses_its_tasks(self):
+        # A study asks for `trials` task seeds in turn for every cell; the
+        # cache must hold a whole cycle at the largest default trial count.
+        trials = max(TRIAL_DEFAULTS.values())
+        _generated_task.cache_clear()
+        for _cell in range(2):
+            for seed in range(trials):
+                make_task("narma10", 60, seed=seed)
+        info = _generated_task.cache_info()
+        assert (info.misses, info.hits) == (trials, trials)
+
+    def test_cached_arrays_are_read_only(self):
+        data = make_task("narma10", 100, seed=2)
+        for array in (data.inputs, data.targets):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        data.meta["note"] = "edited"
+        assert "note" not in make_task("narma10", 100, seed=2).meta
+
+    def test_file_task_is_read_again_after_an_edit(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("\n".join(str(float(i)) for i in range(30)))
+        first = make_task(f"file:{path}", 20)
+        path.write_text("\n".join(str(float(-i)) for i in range(30)))
+        second = make_task(f"file:{path}", 20)
+        assert first.inputs[1] == 1.0 and second.inputs[1] == -1.0
+        second.inputs[0] = 5.0  # a file task is the caller's own copy
+
