@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, make_dataclass, replace
+from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -24,23 +24,20 @@ import numpy as np
 from .experiments import (
     ExperimentResult,
     SweepSpec,
-    _TASK_STREAM,
-    _grid_sweep,
-    _make_result,
     default_beta_grid,
     default_lambda_grid,
     default_rho_grid,
-    derive_seed,
     run_astringency,
     run_beta_sweep,
     run_grid_sweep,
     run_mc_study,
+    run_single,
     run_sparsity_sweep,
+    run_spectrum,
     run_weight_distribution_study,
 )
 from .metrics import MC_WASHOUT
 from .reservoir import ReservoirConfig
-from .tasks import make_task, spectrum
 
 OUTDIR_ENV = "KURAMOTO_RC_OUTDIR"
 
@@ -294,9 +291,9 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-# Exact-type shortcuts for the cell types the studies write; any other
-# type, numpy scalars included, goes through the isinstance chain.
-_EXACT_FORMATS = {
+# Cell formats by exact type. A numpy scalar is unwrapped to its Python
+# value first; any other type is written by ``str``.
+_FORMATS = {
     float: lambda value: format(value, ".17g"),
     int: str,
     str: str,
@@ -306,16 +303,12 @@ _EXACT_FORMATS = {
 
 
 def _format_value(value) -> str:
-    exact = _EXACT_FORMATS.get(type(value))
-    if exact is not None:
-        return exact(value)
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    fmt = _FORMATS.get(type(value))
+    if fmt is None:
+        if isinstance(value, np.generic):
+            value = value.item()
+        fmt = _FORMATS.get(type(value), str)
+    return fmt(value)
 
 
 def _format_config_value(value) -> str:
@@ -361,24 +354,17 @@ def write_result(
         for name, (columns, rows) in result.tables.items():
             write_csv(f"table_{name}.csv", columns, rows)
     else:
+
+        def encode(columns: list[str], rows: list[dict]) -> list[dict]:
+            return [{c: _json_value(row.get(c)) for c in columns} for row in rows]
+
         payload = {
             "columns": result.columns,
-            "records": [
-                {c: _json_value(rec.get(c)) for c in result.columns}
-                for rec in result.records
-            ],
+            "records": encode(result.columns, result.records),
             "aggregate_columns": result.aggregate_columns,
-            "aggregates": [
-                {c: _json_value(rec.get(c)) for c in result.aggregate_columns}
-                for rec in result.aggregates
-            ],
+            "aggregates": encode(result.aggregate_columns, result.aggregates),
             "tables": {
-                name: {
-                    "columns": columns,
-                    "rows": [
-                        {c: _json_value(r.get(c)) for c in columns} for r in rows
-                    ],
-                }
+                name: {"columns": columns, "rows": encode(columns, rows)}
                 for name, (columns, rows) in result.tables.items()
             },
         }
@@ -406,33 +392,8 @@ def _json_value(value):
     return value
 
 
-def _single_run_result(cfg: RunConfig) -> ExperimentResult:
-    # Cell 0, trial 0 of a one-cell sweep, so a 1x1 sweep and a single run
-    # agree; a fault is recorded the same way too.
-    spec = replace(_sweep_spec(cfg, {"lam": [cfg.lam]}), trials=1)
-    result = _grid_sweep(spec, predictions=True)
-    rows = result.records[0].pop("predictions", [])
-    result.tables["predictions"] = (["step", "target", "prediction"], rows)
-    return result
-
-
-def _spectrum_result(cfg: RunConfig) -> ExperimentResult:
-    task_seed = derive_seed(cfg.seed, _TASK_STREAM, 0)
-    data = make_task(
-        cfg.task,
-        cfg.length,
-        seed=task_seed,
-        column=cfg.column,
-        normalize=cfg.normalize,
-    )
-    freqs, mags = spectrum(data.inputs[: cfg.length])
-    records = [
-        {"bin": i, "frequency": float(freqs[i]), "magnitude": float(mags[i]), "fault": ""}
-        for i in range(freqs.size)
-    ]
-    return _make_result(
-        records, ["bin"], ["frequency", "magnitude"], ["bin"], ["magnitude"]
-    )
+def _task_kwargs(cfg: RunConfig) -> dict:
+    return {"column": cfg.column, "normalize": cfg.normalize}
 
 
 def _sweep_spec(cfg: RunConfig, axes: dict) -> SweepSpec:
@@ -443,7 +404,7 @@ def _sweep_spec(cfg: RunConfig, axes: dict) -> SweepSpec:
         trials=cfg.resolved_trials(),
         master_seed=cfg.seed,
         workers=cfg.workers,
-        task_kwargs={"column": cfg.column, "normalize": cfg.normalize},
+        task_kwargs=_task_kwargs(cfg),
     )
 
 
@@ -459,9 +420,9 @@ def dispatch(cfg: RunConfig) -> int:
     command = cfg.command
     grid = {"lam": list(cfg.lambda_grid), "spectral_target": list(cfg.rho_grid)}
     if command == "run":
-        result = _single_run_result(cfg)
+        result = run_single(_sweep_spec(cfg, {"lam": [cfg.lam]}))
     elif command == "spectrum":
-        result = _spectrum_result(cfg)
+        result = run_spectrum(cfg.task, cfg.length, cfg.seed, _task_kwargs(cfg))
     elif command == "sweep":
         result = run_grid_sweep(_sweep_spec(cfg, grid))
     elif command == "mc":

@@ -20,7 +20,7 @@ import numpy as np
 from .metrics import beta_fit, matrix_distance, memory_capacity, weight_histogram
 from .network import develop, order_parameter, reinitialize_weights
 from .reservoir import ReservoirConfig, run_pipeline
-from .tasks import make_task
+from .tasks import make_task, spectrum
 
 # Seed-stream tags; fixed so derived seeds never change between versions.
 _TASK_STREAM = 1
@@ -288,16 +288,29 @@ def run_grid_sweep(spec: SweepSpec) -> ExperimentResult:
 
 def _grid_sweep(spec: SweepSpec, quartiles: bool = False, **extra) -> ExperimentResult:
     """The grid sweep, its aggregates with boxplot statistics when
-    ``quartiles`` is set; ``extra`` goes into every job's payload."""
+    ``quartiles`` is set; ``extra`` goes into every job's payload. With
+    ``predictions`` the first record's predictions become a table."""
     group = ["cell_index", *spec.axes]
     cells = [(ci, {"cell_index": ci, **cell}) for ci, cell in enumerate(spec.cells())]
     records = _trial_records(
         spec, _pipeline_job, cells, _PIPELINE_VALUES, seeds=True, **extra
     )
+    tables = {}
+    if extra.get("predictions"):
+        rows = records[0].pop("predictions", [])
+        tables["predictions"] = (["step", "target", "prediction"], rows)
     key_columns = group + ["trial", "net_seed", "task_seed"]
     return _make_result(
-        records, key_columns, _PIPELINE_VALUES, group, quartiles=quartiles
+        records, key_columns, _PIPELINE_VALUES, group, quartiles=quartiles, tables=tables
     )
+
+
+def run_single(spec: SweepSpec) -> ExperimentResult:
+    """One pipeline run: cell 0, trial 0 of the grid sweep over ``spec``,
+    so a single run and a 1x1 sweep agree and record a fault the same way.
+    The test-span predictions land in the ``predictions`` table."""
+    first = {name: values[:1] for name, values in spec.axes.items()}
+    return _grid_sweep(replace(spec, axes=first, trials=1), predictions=True)
 
 
 def run_mc_study(
@@ -371,6 +384,23 @@ def _develop_inputs(spec: SweepSpec, steps: int) -> np.ndarray:
         **spec.task_kwargs,
     )
     return data.inputs[:steps]
+
+
+def run_spectrum(
+    task: str, length: int, master_seed: int, task_kwargs: dict
+) -> ExperimentResult:
+    """Magnitude spectrum of the first ``length`` inputs of the task drawn
+    with trial 0's task seed, one record per frequency bin."""
+    seed = derive_seed(master_seed, _TASK_STREAM, 0)
+    data = make_task(task, length, seed=seed, **task_kwargs)
+    freqs, mags = spectrum(data.inputs[:length])
+    records = [
+        {"bin": i, "frequency": float(freqs[i]), "magnitude": float(mags[i]), "fault": ""}
+        for i in range(freqs.size)
+    ]
+    return _make_result(
+        records, ["bin"], ["frequency", "magnitude"], ["bin"], ["magnitude"]
+    )
 
 
 def _astringency_job(payload: dict) -> dict:

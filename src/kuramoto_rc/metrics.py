@@ -6,10 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .network import OscillatorNetwork, phase_step
-from .reservoir import ReservoirConfig, build_features
+from .network import OscillatorNetwork
+from .reservoir import ReservoirConfig, build_features, drive, solve_ridge
 
 # Input steps memory_capacity discards before it collects states, by
 # default; no delay may reach further back than the washout.
@@ -92,11 +91,8 @@ def memory_capacity(
     rng = np.random.default_rng(seed)
     total = washout + collect
     s = rng.uniform(-0.5, 0.5, total)
-    states = np.empty((collect, net.n))
-    for t in range(total):
-        phase_step(net, s[t])
-        if t >= washout:
-            states[t - washout] = net.phases
+    drive(net, s[:washout])
+    states = drive(net, s[washout:])
     feats = build_features(
         states, cfg.use_bias, cfg.use_trig_features, cfg.center_phases
     )
@@ -105,15 +101,11 @@ def memory_capacity(
     if not 0 < n_train < collect:
         raise ValueError("train fraction leaves no training or evaluation rows")
     X_train, X_eval = feats[:n_train], feats[n_train:]
-    gram = X_train.T @ X_train + cfg.ridge_alpha * np.eye(X_train.shape[1])
 
     # All delays share the same state matrix: one factorization, k_max
     # right-hand sides. Delayed targets index back into the washout span.
-    targets = np.empty((collect, k_max))
-    for k in range(1, k_max + 1):
-        targets[:, k - 1] = s[washout - k : total - k]
-    w = scipy.linalg.solve(gram, X_train.T @ targets[:n_train], assume_a="pos")
-    outputs = X_eval @ w
+    targets = np.column_stack([s[washout - k : total - k] for k in range(1, k_max + 1)])
+    outputs = X_eval @ solve_ridge(X_train, targets[:n_train], cfg.ridge_alpha)
     coefficients = np.array(
         [
             squared_correlation(targets[n_train:, k], outputs[:, k])

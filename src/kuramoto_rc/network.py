@@ -22,7 +22,7 @@ numpy's independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -105,15 +105,13 @@ class OscillatorNetwork:
         return flat, rows, cols
 
     def copy(self) -> "OscillatorNetwork":
-        return OscillatorNetwork(
+        """Copy with its own arrays; the mask, immutable by contract, is
+        shared."""
+        return replace(
+            self,
             phases=self.phases.copy(),
             natural_frequencies=self.natural_frequencies.copy(),
             coupling=self.coupling.copy(),
-            mask=self.mask,  # immutable by contract
-            global_coupling=self.global_coupling,
-            character_parameter=self.character_parameter,
-            adaptation_rate=self.adaptation_rate,
-            timestep=self.timestep,
         )
 
 

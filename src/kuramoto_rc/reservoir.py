@@ -145,7 +145,6 @@ class Readout:
     use_bias: bool = False
     use_trig_features: bool = False
     center_phases: bool = False
-    train_residual: float = 0.0
 
     @property
     def n_features(self) -> int:
@@ -214,6 +213,16 @@ def build_features(
     return out
 
 
+def drive(net: OscillatorNetwork, inputs: np.ndarray) -> np.ndarray:
+    """Drive the frozen network, the frozen twin of ``network.develop``: one
+    phase step per input, the coupling untouched. Returns the phases after
+    each step, one row per input."""
+    states = np.empty((len(inputs), net.n))
+    for row, u in enumerate(inputs):
+        states[row] = phase_step(net, u)
+    return states
+
+
 def develop_and_collect(
     cfg: ReservoirConfig,
     data: TaskData,
@@ -244,14 +253,22 @@ def develop_and_collect(
     if cfg.adaptive:
         develop(net, data.inputs[:n_dev], cfg.spectral_target)
     else:
-        for u in data.inputs[:n_dev]:
-            phase_step(net, u)
+        drive(net, data.inputs[:n_dev])
     dev_phases = net.phases.copy()
-    states = np.empty((total - n_dev, net.n))
-    for row, u in enumerate(data.inputs[n_dev:total]):
-        states[row] = phase_step(net, u)
+    states = drive(net, data.inputs[n_dev:total])
     targets = data.targets[n_dev:total].copy()
     return net, StateTrace(states=states, targets=targets, dev_phases=dev_phases)
+
+
+def solve_ridge(X: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
+    """Ridge weights w solving (X'X + alpha*I) w = X'Y by a positive-definite
+    factorization; ``Y`` may hold one column per readout. Singular normal
+    equations (alpha = 0 on rank-deficient features) raise ValueError."""
+    lhs = X.T @ X + alpha * np.eye(X.shape[1])
+    try:
+        return scipy.linalg.solve(lhs, X.T @ Y, assume_a="pos")
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        raise ValueError("singular normal equations; set ridge alpha > 0") from exc
 
 
 def train_readout(
@@ -262,40 +279,20 @@ def train_readout(
     use_trig_features: bool = False,
     center_phases: bool = False,
 ) -> Readout:
-    """Fit readout weights by ridge regression on collected states.
-
-    Solves (X'X + alpha*I) w = X'y through a symmetric positive-definite
-    factorization. ``trace`` may be a StateTrace or a plain state matrix.
-
-    Raises
-    ------
-    ValueError
-        If the normal equations are singular (alpha = 0 on rank-deficient
-        states); use a positive alpha in that case.
+    """Fit readout weights by ridge regression (``solve_ridge``) on the
+    features of collected states. ``trace`` may be a StateTrace or a plain
+    state matrix.
     """
     states = trace.states if isinstance(trace, StateTrace) else np.asarray(trace)
     y = np.asarray(targets, dtype=float)
     X = build_features(states, use_bias, use_trig_features, center_phases)
     if X.shape[0] != y.shape[0] or y.shape[0] < 1:
         raise ValueError("trace rows and targets must match and be nonempty")
-    gram = X.T @ X
-    rhs = X.T @ y
-    lhs = gram + alpha * np.eye(X.shape[1])
-    try:
-        w = scipy.linalg.solve(lhs, rhs, assume_a="pos")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise ValueError(
-            "singular normal equations; set ridge alpha > 0"
-        ) from exc
-    # Residual through the normal-equations identity, so tests can check
-    # it against the directly computed squared error.
-    residual = float(y @ y - 2.0 * w @ rhs + w @ gram @ w)
     return Readout(
-        weights=w,
+        weights=solve_ridge(X, y, alpha),
         use_bias=use_bias,
         use_trig_features=use_trig_features,
         center_phases=center_phases,
-        train_residual=max(residual, 0.0),
     )
 
 
@@ -307,8 +304,8 @@ def predict(
 ) -> np.ndarray:
     """Teacher-forced one-step-ahead prediction over the test span.
 
-    Each step drives the frozen network with the true input and emits the
-    readout applied to the new phases. The coupling never adapts here.
+    The frozen network is driven with the true inputs, and each step emits
+    the readout applied to its new phases. The coupling never adapts here.
     """
     if (
         readout.use_bias != cfg.use_bias
@@ -320,11 +317,11 @@ def predict(
         raise ValueError(
             f"test span needs {cfg.len_test} samples, task data provides {len(data)}"
         )
+    states = drive(net, data.inputs[: cfg.len_test])
     predictions = np.empty(cfg.len_test)
-    for i in range(cfg.len_test):
-        phase_step(net, data.inputs[i])
+    for i, phases in enumerate(states):
         feats = build_features(
-            net.phases,
+            phases,
             readout.use_bias,
             readout.use_trig_features,
             readout.center_phases,

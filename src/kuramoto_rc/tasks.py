@@ -273,7 +273,12 @@ def load_series(
         line = line.strip()
         if not line:
             continue
-        token = line.split(",")[col_index] if col_index is not None else line
+        try:
+            token = line.split(",")[col_index] if col_index is not None else line
+        except IndexError:
+            raise ValueError(
+                f"{path}: no value for column {column!r} at line {lineno}"
+            ) from None
         try:
             values.append(float(token))
         except ValueError:

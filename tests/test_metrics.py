@@ -117,6 +117,14 @@ class TestMemoryCapacity:
         with pytest.raises(ValueError):
             memory_capacity(cfg, net, k_max=200, washout=100)
 
+    def test_singular_readout_advises_alpha(self):
+        # One oscillator: up to rounding, its centred sine vanishes and its
+        # cosine repeats the bias column, so at alpha = 0 the normal
+        # equations of the default 420 training rows are singular.
+        cfg = ReservoirConfig(n=1, density=0.0, ridge_alpha=0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            memory_capacity(cfg, cfg.build_network(), k_max=3)
+
 
 class TestMatrixDistance:
     def test_equal_matrices(self):

@@ -313,6 +313,12 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match="missing column"):
             load_series(path, column="power")
 
+    def test_short_row_cites_line_and_column(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("a,b\n1,2\n3\n4,5\n")
+        with pytest.raises(ValueError, match=r"short\.csv.*'b'.*line 3"):
+            load_series(path, column="b")
+
     def test_normalization_recorded(self, tmp_path):
         path = tmp_path / "series.txt"
         path.write_text("2.0\n4.0\n6.0\n")
