@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,6 +30,11 @@ _VALUE_STREAM = 4
 
 # Value columns of a pipeline job's record.
 _PIPELINE_VALUES = ("test_mse", "train_mse", "order_r")
+
+# Statistics of each value column in an aggregate row, in column order; the
+# boxplot ones only in studies with quartiles.
+_STATISTICS = ("mean", "var", "median")
+_BOXPLOT = ("q1", "q3", "whisker_low", "whisker_high", "n_outliers")
 
 _CONFIG_FIELDS = {f.name for f in fields(ReservoirConfig)}
 
@@ -95,18 +100,46 @@ class ExperimentResult:
 
     columns: list[str]
     records: list[dict]
-    aggregate_columns: list[str]
     aggregates: list[dict]
     group_columns: list[str]
     value_columns: list[str]
     quartiles: bool = False
     tables: dict[str, tuple[list[str], list[dict]]] = field(default_factory=dict)
-    n_faults: int = 0
+
+    @property
+    def aggregate_columns(self) -> list[str]:
+        stats = _statistic_names(self.quartiles)
+        values = [f"{col}_{stat}" for col in self.value_columns for stat in stats]
+        return [*self.group_columns, "n_trials", "n_faults", *values]
+
+    @property
+    def n_faults(self) -> int:
+        return sum(1 for r in self.records if r.get("fault"))
 
     def recompute_aggregates(self) -> list[dict]:
         return _aggregate(
             self.records, self.group_columns, self.value_columns, self.quartiles
         )
+
+
+def _statistic_names(quartiles: bool) -> tuple[str, ...]:
+    return _STATISTICS + _BOXPLOT if quartiles else _STATISTICS
+
+
+def _statistics(vals: np.ndarray, quartiles: bool) -> tuple:
+    """The named statistics of ``vals``: NaN when it is empty (with no
+    outliers), whiskers at the extreme values within 1.5 IQR of the
+    quartiles."""
+    if vals.size == 0:
+        return (float("nan"),) * 7 + (0,)
+    stats = [vals.mean(), vals.var(), np.median(vals)]
+    if not quartiles:
+        return tuple(map(float, stats))
+    q1, q3 = np.percentile(vals, [25.0, 75.0])
+    iqr = q3 - q1
+    inside = vals[(vals >= q1 - 1.5 * iqr) & (vals <= q3 + 1.5 * iqr)]
+    stats += [q1, q3, inside.min(), inside.max()]
+    return (*map(float, stats), int(vals.size - inside.size))
 
 
 def _aggregate(
@@ -115,6 +148,7 @@ def _aggregate(
     value_columns: list[str],
     quartiles: bool = False,
 ) -> list[dict]:
+    names = _statistic_names(quartiles)
     groups: dict[tuple, list[dict]] = {}
     for rec in records:
         groups.setdefault(tuple(rec[c] for c in group_columns), []).append(rec)
@@ -126,43 +160,10 @@ def _aggregate(
         row["n_faults"] = len(recs) - len(ok)
         for col in value_columns:
             vals = np.array([r[col] for r in ok], dtype=float)
-            has = vals.size > 0
-            row[f"{col}_mean"] = float(vals.mean()) if has else float("nan")
-            row[f"{col}_var"] = float(vals.var()) if has else float("nan")
-            row[f"{col}_median"] = float(np.median(vals)) if has else float("nan")
-            if quartiles:
-                if has:
-                    q1, q3 = np.percentile(vals, [25.0, 75.0])
-                    iqr = q3 - q1
-                    inside = vals[(vals >= q1 - 1.5 * iqr) & (vals <= q3 + 1.5 * iqr)]
-                    row[f"{col}_q1"] = float(q1)
-                    row[f"{col}_q3"] = float(q3)
-                    row[f"{col}_whisker_low"] = float(inside.min())
-                    row[f"{col}_whisker_high"] = float(inside.max())
-                    row[f"{col}_n_outliers"] = int(vals.size - inside.size)
-                else:
-                    for suffix in ("q1", "q3", "whisker_low", "whisker_high"):
-                        row[f"{col}_{suffix}"] = float("nan")
-                    row[f"{col}_n_outliers"] = 0
+            stats = _statistics(vals, quartiles)
+            row.update((f"{col}_{name}", stat) for name, stat in zip(names, stats))
         rows.append(row)
     return rows
-
-
-def _aggregate_columns(
-    group_columns: list[str], value_columns: list[str], quartiles: bool
-) -> list[str]:
-    cols = list(group_columns) + ["n_trials", "n_faults"]
-    for col in value_columns:
-        cols += [f"{col}_mean", f"{col}_var", f"{col}_median"]
-        if quartiles:
-            cols += [
-                f"{col}_q1",
-                f"{col}_q3",
-                f"{col}_whisker_low",
-                f"{col}_whisker_high",
-                f"{col}_n_outliers",
-            ]
-    return cols
 
 
 def _make_result(
@@ -177,18 +178,14 @@ def _make_result(
     """Result whose records list the key columns, then ``values``, then the
     fault; aggregated over ``value_columns`` (``values`` by default)."""
     value_columns = list(value_columns or values)
-    agg_cols = _aggregate_columns(group_columns, value_columns, quartiles)
-    aggregates = _aggregate(records, group_columns, value_columns, quartiles)
     return ExperimentResult(
         columns=[*key_columns, *values, "fault"],
         records=records,
-        aggregate_columns=agg_cols,
-        aggregates=aggregates,
+        aggregates=_aggregate(records, group_columns, value_columns, quartiles),
         group_columns=group_columns,
         value_columns=value_columns,
         quartiles=quartiles,
         tables=tables or {},
-        n_faults=sum(1 for r in records if r.get("fault")),
     )
 
 
@@ -200,32 +197,15 @@ def _guarded(fn, payload) -> dict:
         return {"fault": f"{type(exc).__name__}: {exc}"}
 
 
-def _run_jobs(fn, payloads: list, workers: int) -> list:
-    job = functools.partial(_guarded, fn)
-    if workers > 1 and len(payloads) > 1:
-        # One job at a time: job costs vary several-fold across cells, and
-        # chunks leave a worker idle at the end.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(job, payloads))
-    return [job(p) for p in payloads]
-
-
-def _records(keys: list[dict], outcomes: list[dict], values) -> list[dict]:
-    """One record per job: its key, then its outcome. The value columns of
-    a faulted job are NaN."""
-    nan = dict.fromkeys(values, float("nan"))
-    return [{**key, **nan, "fault": "", **out} for key, out in zip(keys, outcomes)]
-
-
-def _trial_records(
-    spec: SweepSpec, fn, cells: list, values, seeds: bool = False, **extra
-) -> list[dict]:
+def _trial_records(spec: SweepSpec, fn, cells: list, values, **extra) -> list[dict]:
     """Records of ``fn`` over every trial of every (seed index, key) cell.
 
     A job's config is the base with the key's config fields, its network
-    seeded by (seed index, trial) and its task by the trial alone; the
-    payload carries the key and ``extra``, plus a memory-capacity seed when
-    ``extra`` has ``k_max``. With ``seeds`` the record keys carry both seeds.
+    seeded by (seed index, trial) and its task by the trial alone. The
+    payload carries that config, the key, ``extra`` and the ``seed_key``
+    (master seed, seed index, trial) that any further seed stream of the
+    job derives from. A record is the key, the trial, both seeds, then the
+    job's outcome; the value columns of a faulted job are NaN.
     """
     payloads = []
     keys = []
@@ -234,24 +214,32 @@ def _trial_records(
         for t in range(spec.trials):
             net_seed = derive_seed(spec.master_seed, _NET_STREAM, index, t)
             task_seed = derive_seed(spec.master_seed, _TASK_STREAM, t)
-            payload = {
-                "cfg": asdict(replace(spec.base, **overrides, seed=net_seed)),
-                "key": key,
-                "task": spec.task,
-                "task_seed": task_seed,
-                "task_kwargs": spec.task_kwargs,
-                **extra,
-            }
-            if "k_max" in payload:
-                payload["mc_seed"] = derive_seed(spec.master_seed, _MC_STREAM, index, t)
-            payloads.append(payload)
-            seed_columns = {"net_seed": net_seed, "task_seed": task_seed}
-            keys.append({**key, "trial": t, **(seed_columns if seeds else {})})
-    return _records(keys, _run_jobs(fn, payloads, spec.workers), values)
+            payloads.append(
+                {
+                    "cfg": replace(spec.base, **overrides, seed=net_seed),
+                    "key": key,
+                    "seed_key": (spec.master_seed, index, t),
+                    "task": spec.task,
+                    "task_seed": task_seed,
+                    "task_kwargs": spec.task_kwargs,
+                    **extra,
+                }
+            )
+            keys.append({**key, "trial": t, "net_seed": net_seed, "task_seed": task_seed})
+    job = functools.partial(_guarded, fn)
+    if spec.workers > 1 and len(payloads) > 1:
+        # One job at a time: job costs vary several-fold across cells, and
+        # chunks leave a worker idle at the end.
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+            outcomes = list(pool.map(job, payloads))
+    else:
+        outcomes = [job(p) for p in payloads]
+    nan = dict.fromkeys(values, float("nan"))
+    return [{**key, **nan, "fault": "", **out} for key, out in zip(keys, outcomes)]
 
 
 def _pipeline_job(payload: dict) -> dict:
-    cfg = ReservoirConfig(**payload["cfg"])
+    cfg = payload["cfg"]
     data = make_task(
         payload["task"],
         cfg.train_span + cfg.len_test,
@@ -268,9 +256,9 @@ def _pipeline_job(payload: dict) -> dict:
             for i, (t, p) in enumerate(zip(targets, result.predictions))
         ]
     if "k_max" in payload:
-        curve = memory_capacity(
-            cfg, result.network, k_max=payload["k_max"], seed=payload["mc_seed"]
-        )
+        master_seed, index, trial = payload["seed_key"]
+        mc_seed = derive_seed(master_seed, _MC_STREAM, index, trial)
+        curve = memory_capacity(cfg, result.network, k_max=payload["k_max"], seed=mc_seed)
         record["mc_total"] = curve.total
         record["mc_curve"] = curve.coefficients
     return record
@@ -292,9 +280,7 @@ def _grid_sweep(spec: SweepSpec, quartiles: bool = False, **extra) -> Experiment
     ``predictions`` the first record's predictions become a table."""
     group = ["cell_index", *spec.axes]
     cells = [(ci, {"cell_index": ci, **cell}) for ci, cell in enumerate(spec.cells())]
-    records = _trial_records(
-        spec, _pipeline_job, cells, _PIPELINE_VALUES, seeds=True, **extra
-    )
+    records = _trial_records(spec, _pipeline_job, cells, _PIPELINE_VALUES, **extra)
     tables = {}
     if extra.get("predictions"):
         rows = records[0].pop("predictions", [])
@@ -404,9 +390,14 @@ def run_spectrum(
 
 
 def _astringency_job(payload: dict) -> dict:
-    cfg = ReservoirConfig(**payload["cfg"])
+    """Coupling before and after development of one trial's network: the
+    mask and frequencies of its density's trial 0, the live weights of its
+    own value stream."""
+    master_seed, index, trial = payload["seed_key"]
+    cfg = replace(payload["cfg"], seed=derive_seed(master_seed, _NET_STREAM, index, 0))
+    value_seed = derive_seed(master_seed, _VALUE_STREAM, index, trial)
     net = reinitialize_weights(
-        cfg.build_network(), payload["value_seed"], spectral_target=cfg.spectral_target
+        cfg.build_network(), value_seed, spectral_target=cfg.spectral_target
     )
     initial = net.coupling
     develop(net, payload["inputs"], cfg.spectral_target)
@@ -427,45 +418,33 @@ def run_astringency(spec: SweepSpec, beta: float = 0.0) -> ExperimentResult:
     densities = spec.axes.get("density")
     if densities is None:
         raise ValueError("astringency needs a 'density' axis")
-    cfg0 = replace(spec.base, beta=beta)
-    inputs = _develop_inputs(spec, max(cfg0.len_adev - 1, 0))
-    payloads = []
-    for di, density in enumerate(densities):
-        mask_seed = derive_seed(spec.master_seed, _NET_STREAM, di, 0)
-        cfg = replace(cfg0, density=density, seed=mask_seed)
-        for t in range(spec.trials):
-            payloads.append(
-                {
-                    "cfg": asdict(cfg),
-                    "value_seed": derive_seed(spec.master_seed, _VALUE_STREAM, di, t),
-                    "inputs": inputs,
-                }
-            )
-    outcomes = _run_jobs(_astringency_job, payloads, spec.workers)
-    distances = [
-        f"{stage}_{mode}"
-        for stage in ("initial", "developed")
-        for mode in ("signed", "absolute")
+    inputs = _develop_inputs(spec, max(spec.base.len_adev - 1, 0))
+    cells = [
+        (di, {"density_index": di, "density": density})
+        for di, density in enumerate(densities)
     ]
-    records = []
-    for di, density in enumerate(densities):
-        reference, *others = outcomes[di * spec.trials : (di + 1) * spec.trials]
-        for t, out in enumerate(others, start=1):
-            rec = {"density_index": di, "density": density, "trial": t}
-            rec.update(dict.fromkeys(distances, float("nan")))
-            if "fault" in reference:
-                rec["fault"] = f"reference trial: {reference['fault']}"
-            elif "fault" in out:
-                rec["fault"] = out["fault"]
-            else:
-                rec["fault"] = ""
-                for stage in ("initial", "developed"):
-                    for mode in ("signed", "absolute"):
-                        rec[f"{stage}_{mode}"] = matrix_distance(
-                            out[stage], reference[stage], mode
-                        )
-            records.append(rec)
+    at_beta = replace(spec, base=replace(spec.base, beta=beta))
+    jobs = _trial_records(at_beta, _astringency_job, cells, (), inputs=inputs)
     group = ["density_index", "density"]
+    stages = ("initial", "developed")
+    modes = ("signed", "absolute")
+    distances = [f"{stage}_{mode}" for stage in stages for mode in modes]
+    records = []
+    for first in range(0, len(jobs), spec.trials):
+        reference, *others = jobs[first : first + spec.trials]
+        for job in others:
+            rec = {c: job[c] for c in (*group, "trial")}
+            rec.update(dict.fromkeys(distances, float("nan")))
+            if reference["fault"]:
+                rec["fault"] = f"reference trial: {reference['fault']}"
+            else:
+                rec["fault"] = job["fault"]
+            if not rec["fault"]:
+                for stage, mode in itertools.product(stages, modes):
+                    rec[f"{stage}_{mode}"] = matrix_distance(
+                        job[stage], reference[stage], mode
+                    )
+            records.append(rec)
     return _make_result(records, group + ["trial"], distances, group)
 
 
@@ -481,7 +460,7 @@ def run_beta_sweep(spec: SweepSpec) -> ExperimentResult:
 
 
 def _weight_job(payload: dict) -> dict:
-    cfg = ReservoirConfig(**payload["cfg"])
+    cfg = payload["cfg"]
     key = payload["key"]
     net = cfg.build_network(weight_init=(key["initial_a"], key["initial_b"]))
     bins = payload["bins"]

@@ -10,6 +10,7 @@ ahead from each new state.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,11 +264,14 @@ def develop_and_collect(
 def solve_ridge(X: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
     """Ridge weights w solving (X'X + alpha*I) w = X'Y by a positive-definite
     factorization; ``Y`` may hold one column per readout. Singular normal
-    equations (alpha = 0 on rank-deficient features) raise ValueError."""
+    equations (alpha = 0 on rank-deficient features) raise ValueError, also
+    when rounding lets them factorize below scipy's condition limit."""
     lhs = X.T @ X + alpha * np.eye(X.shape[1])
     try:
-        return scipy.linalg.solve(lhs, X.T @ Y, assume_a="pos")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            return scipy.linalg.solve(lhs, X.T @ Y, assume_a="pos")
+    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
         raise ValueError("singular normal equations; set ridge alpha > 0") from exc
 
 

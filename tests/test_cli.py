@@ -189,8 +189,8 @@ class TestWriteResult:
     def test_format_value_agrees_across_exact_and_numpy_types(
         self, value, expected
     ):
-        # Python scalars take the exact-type table, numpy scalars the
-        # isinstance chain; both must write the same cell.
+        # Python scalars take the exact-type table directly, numpy scalars
+        # after unwrapping with .item(); both must write the same cell.
         assert _format_value(value) == expected
 
     def make_result(self):

@@ -123,10 +123,21 @@ class TestGridSweep:
             trials=2,
             master_seed=5,
         )
-        serial = run_grid_sweep(SweepSpec(workers=1, **kwargs))
-        parallel = run_grid_sweep(SweepSpec(workers=2, **kwargs))
-        assert serial.records == parallel.records
-        assert serial.aggregates == parallel.aggregates
+        density = dict(kwargs, axes={"density": [0.1, 0.3]})
+        studies = [
+            (run_grid_sweep, kwargs, ()),
+            (run_mc_study, kwargs, ([(1.0, 0.3), (3.0, 0.6)], 5)),
+            (run_sparsity_sweep, density, ()),
+            (run_astringency, density, ()),
+            (run_weight_distribution_study, kwargs, ([(1.0, 1.0)], [0.0], 5, 4)),
+        ]
+        for study, spec_kwargs, args in studies:
+            serial = study(SweepSpec(workers=1, **spec_kwargs), *args)
+            parallel = study(SweepSpec(workers=2, **spec_kwargs), *args)
+            assert serial.n_faults == 0
+            assert serial.records == parallel.records
+            assert serial.aggregates == parallel.aggregates
+            assert serial.tables == parallel.tables
 
     def test_record_reproducible_in_isolation(self):
         spec = SweepSpec(

@@ -31,3 +31,18 @@ def test_no_module_imports_a_private_name_of_another():
                     if alias.name.startswith("_")
                 ]
     assert private == []
+
+
+def test_only_trial_records_runs_jobs():
+    source = Path(kuramoto_rc.__file__).parent / "experiments.py"
+    runners = [
+        node.name
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(name, ast.Name)
+            and name.id in ("ProcessPoolExecutor", "_guarded")
+            for name in ast.walk(node)
+        )
+    ]
+    assert runners == ["_trial_records"]
