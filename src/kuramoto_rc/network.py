@@ -12,11 +12,9 @@ Both equations are integrated by forward Euler with a shared timestep.
 The sparsity pattern of the coupling matrix is fixed at construction; only
 initially live edges ever carry weight, and the adaptation step computes
 only those. After each adaptation step the coupling matrix is rescaled to a
-target spectral radius, estimated by a warm-started power iteration that
-hands stalls to repeated squaring: at once when a probe of its fit residual
-after six steps shows it cannot settle within its 30-step budget. A dense
-eigensolver (scipy's) is only the last resort, so tests can check against
-numpy's independently.
+target spectral radius, estimated from that matrix alone by repeated
+squaring. A dense eigensolver (scipy's) is only the last resort, so tests
+can check against numpy's independently.
 """
 
 from __future__ import annotations
@@ -30,18 +28,15 @@ import scipy.linalg
 
 TWO_PI = 2.0 * np.pi
 
-# Start vector for power iteration: fixed seed so every estimate is
-# reproducible run to run.
+# Seed of the fixed vector x0 at which the squaring stage fits: every
+# estimate is reproducible run to run.
 _POWER_SEED = 0x5EED
-# Warm power steps, then squarings, of the spectral-radius estimate.
-_WARM_STEPS = 30
+# Squarings of the spectral-radius estimate before the dense solver.
 _SQUARINGS = 60
-# Squared residual ratio at which a fit settles; warm fit after which a
-# stall is handed to squaring.
+# Squared residual ratio at which a fit settles.
 _SETTLE_RATIO = 1e-16
-_PROBE_FIT = 6
-# Relative agreement of successive estimates; scale below which a vector or
-# radius counts as zero.
+# Relative agreement of successive estimates; radius below which a matrix
+# counts as nilpotent and is left unscaled.
 _TOLERANCE = 1e-10
 _ZERO_THRESHOLD = 1e-12
 
@@ -285,23 +280,25 @@ def coupling_step(net: OscillatorNetwork) -> np.ndarray:
 def spectral_radius(K: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a real square matrix.
 
-    Each stage fits the recurrence K^2 x = alpha K x + beta x at a vector
-    x; the larger root of t^2 - alpha t - beta is exact for a real dominant
-    eigenvalue of either sign and for a complex-conjugate dominant pair.
-    A stage settles when its fit is exact to rounding and two successive
-    estimates agree to relative 1e-10. Stage 1 is power iteration for at
-    most 30 steps; stage 2 repeated squaring P <- P @ P / max|P| from
-    K / max|K|, fitting at P x0; stage 3, reached only when distinct
-    eigenvalues share the leading modulus, a dense eigensolver.
-
-    Stage 1 hands a stall to stage 2 early. It measures the squared fit
-    residual ratio |z - alpha*w - beta*v|^2 / |z|^2 at its 1st and 6th
-    fits only, and stops after the 6th if the ratio is not shrinking or,
-    at its geometric rate over those five steps, would still exceed the
-    1e-16 settle threshold at the end of the 30-step budget.
+    Repeated squaring P <- P @ P / max|P| from K / max|K|; after each
+    squaring the recurrence K^2 x = alpha K x + beta x is fitted at
+    x = P x0 / |P x0| for a fixed seeded x0. The larger root of
+    t^2 - alpha t - beta is exact for a real dominant eigenvalue of either
+    sign and for a complex-conjugate dominant pair. The estimate settles
+    when its fit is exact to rounding and two successive estimates agree to
+    relative 1e-10. A dense eigensolver is reached only when distinct
+    eigenvalues share the leading modulus. The estimate depends on K alone.
     """
-    rho, _ = _power_radius(K, None)
-    return rho
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError("K must be square")
+    if not np.isfinite(K).all():
+        raise ValueError("K must have finite entries")
+    if K.shape[0] == 1:
+        return float(abs(K[0, 0]))
+    if not K.any():
+        return 0.0
+    return _norm_limit_radius(K)
 
 
 @lru_cache(maxsize=32)
@@ -314,18 +311,15 @@ def _start_vector(n: int) -> np.ndarray:
     return v
 
 
-def _two_term_fit(
-    B: np.ndarray, previous: float, measure: bool = False
-) -> tuple[float, bool, float]:
+def _two_term_fit(B: np.ndarray, previous: float) -> tuple[float, bool]:
     """Fit z ~ alpha*w + beta*v for the rows (v, w = Kv, z = Kw) of ``B``
     via the 2x2 Gram system.
 
-    Returns the largest root magnitude of t^2 - alpha*t - beta, whether it
-    has settled, and the squared residual ratio |z - alpha*w - beta*v|^2 /
-    |z|^2 (0 for z = 0). The estimate has settled when it agrees with
-    ``previous`` to relative ``_TOLERANCE`` and the ratio is at most
-    ``_SETTLE_RATIO``. The residual is computed only when the estimates
-    agree or ``measure`` is set; otherwise the ratio reads inf.
+    Returns the largest root magnitude of t^2 - alpha*t - beta and whether
+    it has settled: it agrees with ``previous`` to relative ``_TOLERANCE``
+    and the squared residual |z - alpha*w - beta*v|^2 is at most
+    ``_SETTLE_RATIO`` |z|^2. The residual is computed only when the
+    estimates agree.
     """
     (gvv, gwv, zv), (_, gww, zw) = (B[:2] @ B.T).tolist()
     det = gww * gvv - gwv * gwv
@@ -341,72 +335,16 @@ def _two_term_fit(
         estimate = max(abs(alpha + sq), abs(alpha - sq)) / 2.0
     else:
         estimate = math.sqrt(alpha * alpha - disc) / 2.0
-    agrees = abs(estimate - previous) <= _TOLERANCE * max(1.0, estimate)
-    if not (agrees or measure):
-        return estimate, False, math.inf
+    if not abs(estimate - previous) <= _TOLERANCE * max(1.0, estimate):
+        return estimate, False
     v, w, z = B
     r = z - alpha * w - beta * v
-    rr, zz = float(r @ r), float(z @ z)
-    ratio = rr / zz if zz else 0.0
-    return estimate, agrees and rr <= _SETTLE_RATIO * zz, ratio
+    return estimate, float(r @ r) <= _SETTLE_RATIO * float(z @ z)
 
 
-def _stalls(first: float, probe: float, remaining: int) -> bool:
-    """Whether a warm stage whose residual ratio went from ``first`` (fit
-    1) to ``probe`` (fit ``_PROBE_FIT``) cannot settle in ``remaining``
-    more fits: the ratio is not shrinking, or at its geometric rate it
-    stays above ``_SETTLE_RATIO``."""
-    if not probe < first:
-        return True
-    rate = (probe / first) ** (1.0 / (_PROBE_FIT - 1))
-    return probe * rate**remaining > _SETTLE_RATIO
-
-
-def _power_radius(
-    K: np.ndarray, v0: np.ndarray | None
-) -> tuple[float, np.ndarray | None]:
-    """Checks, then the warm stage; returns (radius, leading direction)."""
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError("K must be square")
-    if not np.isfinite(K).all():
-        raise ValueError("K must have finite entries")
-    n = K.shape[0]
-    scale = np.abs(K).max() if n else 0.0
-    if n == 0 or scale == 0.0:
-        return 0.0, None
-    if n == 1:
-        return float(abs(K[0, 0])), None
-
-    B = np.empty((3, n))  # rows v, w = Kv, z = Kw
-    if v0 is not None and v0.shape == (n,) and np.isfinite(v0).all():
-        B[0] = v0 / np.sqrt(v0 @ v0)
-    else:
-        B[0] = _start_vector(n)
-    np.matmul(K, B[0], out=B[1])
-    previous = np.inf
-    for fit in range(1, _WARM_STEPS + 1):
-        nw = math.sqrt(B[1] @ B[1])
-        if nw <= _ZERO_THRESHOLD * scale:
-            break  # v fell into the (near) null space
-        np.matmul(K, B[1], out=B[2])
-        estimate, settled, ratio = _two_term_fit(
-            B, previous, measure=fit in (1, _PROBE_FIT)
-        )
-        if settled:
-            return estimate, B[1] / nw
-        if fit == 1:
-            first = ratio
-        elif fit == _PROBE_FIT and _stalls(first, ratio, _WARM_STEPS - fit):
-            break
-        previous = estimate
-        B[:2] = B[1:] / nw
-    return _norm_limit_radius(K)
-
-
-def _norm_limit_radius(K: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """Hand-off stage: the two-term fit at P x0, P = K^(2^j) by repeated
-    squaring; returns (radius, leading direction).
+def _norm_limit_radius(K: np.ndarray) -> float:
+    """Squaring stage of ``spectral_radius``: the two-term fit at P x0,
+    P = K^(2^j) by repeated squaring, for a K with a nonzero entry.
 
     P is renormalized by its largest entry after every squaring. Each
     squaring doubles the power, so even a gap |lambda_2 / lambda_1| near 1
@@ -422,17 +360,17 @@ def _norm_limit_radius(K: np.ndarray) -> tuple[float, np.ndarray | None]:
         P = P @ P
         peak = max(P.max(), -P.min())  # max |P| without the abs temporary
         if peak == 0.0:  # nilpotent
-            return 0.0, None
+            return 0.0
         P /= peak
         np.matmul(P, x0, out=B[0])
         B[0] /= math.sqrt(B[0] @ B[0])
         np.matmul(K, B[0], out=B[1])
         np.matmul(K, B[1], out=B[2])
-        estimate, settled, _ = _two_term_fit(B, previous)
+        estimate, settled = _two_term_fit(B, previous)
         if settled:
-            return estimate, B[0]
+            return estimate
         previous = estimate
-    return float(np.abs(scipy.linalg.eigvals(K, check_finite=False)).max()), None
+    return float(np.abs(scipy.linalg.eigvals(K, check_finite=False)).max())
 
 
 def rescale_to_radius(net: OscillatorNetwork, target: float) -> np.ndarray:
@@ -450,14 +388,13 @@ def rescale_to_radius(net: OscillatorNetwork, target: float) -> np.ndarray:
     return net.coupling
 
 
-def _rescale_warm(
-    net: OscillatorNetwork, target: float, v0: np.ndarray | None
-) -> np.ndarray | None:
-    """Rescale with a warm-started radius estimate (development-loop path)."""
-    rho, v = _power_radius(net.coupling, v0)
+def _rescale_warm(net: OscillatorNetwork, target: float) -> None:
+    """``rescale_to_radius`` for the development loop, whose caller has
+    checked ``target``. Kept apart, under the name the benchmark tracer
+    wraps, so that each rescale is one traced span."""
+    rho = spectral_radius(net.coupling)
     if rho >= _ZERO_THRESHOLD:
         net.coupling = net.coupling * (target / rho)
-    return v
 
 
 def develop(
@@ -469,17 +406,16 @@ def develop(
     """Development stage: phases and coupling co-evolve under the input.
 
     Each input value drives one step: a phase step, a coupling step, then
-    a rescale of the coupling to spectral radius ``target``, warm-started
-    from the previous step's estimate. ``on_step(i, net)``, if given, is
-    called after step i = 1, 2, ... Returns ``net``, updated in place.
+    a rescale of the coupling to spectral radius ``target``.
+    ``on_step(i, net)``, if given, is called after step i = 1, 2, ...
+    Returns ``net``, updated in place.
     """
     if target <= 0:
         raise ValueError("target spectral radius must be positive")
-    warm = None
     for i, u in enumerate(inputs, start=1):
         phase_step(net, u)
         coupling_step(net)
-        warm = _rescale_warm(net, target, warm)
+        _rescale_warm(net, target)
         if on_step is not None:
             on_step(i, net)
     return net

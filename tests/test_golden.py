@@ -68,24 +68,24 @@ FLAGS = [
 
 GOLDEN = {
     "astringency": {
-        "aggregates.csv": "54b3696c9bd99b2ccfff16549a19683f31e13cda89d745b22223bdcb5d6577ea",
+        "aggregates.csv": "5a1509311e536f4768422d85b7d1b19b32819f8cf309b5d3cbd575458ef5baae",
         "config.txt": "3785a94627518990e1baea128b3263b521effecbf3b6e0fa0355b9a28681496f",
-        "records.csv": "9a7299cc4b63b9a9766ec87b5a99f54883f56292c3419f61cdf296c701fcdb2c",
+        "records.csv": "c2798582e1c6e9430f0003b11d25923a48d6cad18a588a636a68950d2fc13b03",
     },
     "beta-sweep": {
-        "aggregates.csv": "d94ca1a2c3ba53b55084e032eb02ee5590ed72e9aa10af73416df305cd707bf0",
+        "aggregates.csv": "073ed6c7f3e1a9b4da1fe35433d442745438add06f24881474a3182f868de08f",
         "config.txt": "a16bd87947f7d4847aacdc4d8f97dc49603339ac6d045df9c83a9cd77f3f6593",
-        "records.csv": "beba0474102706be769a90a02719c14ea630917d2e0284e6ad9643da4e7d9e9f",
+        "records.csv": "f54fe9639c64c5547bd4df0df8ce000df702bc7612efc369f1a0159c0fb431af",
     },
     "mc --format json": {
         "config.txt": "034d74686aff0549223fa17b8b04a1d1af263b64ec89a01da02ebdb1cd7ee172",
-        "result.json": "fb7584dc6a2dfdde939ab880e87b49d0282f7420498f59e928b0b893f9f04024",
+        "result.json": "bde1cf6c17504c5f5fcbd1651770bf35140d3aa249fb7f930da6afad4d1007bb",
     },
     "mc": {
-        "aggregates.csv": "1992af5fa5616a6dad95dbdaa22d183da372297814a5ae8456dba8bd5a7ead93",
+        "aggregates.csv": "a82ee4ec945efa5737d045129528c8fceab1da213988565126ca60f28547df4b",
         "config.txt": "d9913afa4628f9c23e14564527e04ccda56262e072c1530780024ec7e32366dd",
-        "records.csv": "f3dc4ec76b758cb600158755416a51a0b84ddbd9f42ba6befc2c7d72fc8f9760",
-        "table_mc_curve.csv": "3aa7b19bef4050ffb4b7cd19b646c73e5f04c0aacfbf58cf8e308749b532e271",
+        "records.csv": "a1704d44278d9ffe34c1be036b7f36d48c6f3de9929968f3f8c60b10bd7551ae",
+        "table_mc_curve.csv": "f471b2b03e8ad0c5bb840ec18c92a28f4268a31779cb56d87683f4cba50f70de",
     },
     "run": {
         "aggregates.csv": "426faecdaa311423fa079cf9116b509eb56cc4aa3678639f6f058dad4639ffbd",
@@ -94,9 +94,9 @@ GOLDEN = {
         "table_predictions.csv": "5526a0d92fa628dcfe983e926309d5802532e5505d7994bb7cf94c0297a54540",
     },
     "sparsity": {
-        "aggregates.csv": "d766e4a59bf47240db76962fdb21a0600e9d2dfaf68def16c84e578a55cc2099",
+        "aggregates.csv": "34e2724a9ebfb338448a0b7af0df2870a891e92f7f7179728e75df2e79ee4afd",
         "config.txt": "7a635f664bd95833813926c61f29e58cec74b548fd9d667f7dd928dde732a34b",
-        "records.csv": "8b1bb6535e4bd7556707c926560b04b4edab31330a86456516b38e4abaf42652",
+        "records.csv": "8230ba79a9624c1877d3fbfab5c0f3660778ed8213b8b61700d5ad363739223c",
     },
     "spectrum": {
         "aggregates.csv": "28502f004fc24f096054efc8b0d0d133cce708998b4a4232408f51b13bb69a9a",
@@ -104,14 +104,14 @@ GOLDEN = {
         "records.csv": "00c26ad9ee9f34f6eccfae145aef04878fa6927469665781b7efb9d9b41e5a12",
     },
     "sweep": {
-        "aggregates.csv": "76fdba2836d54a4cb4761ded6045caab2a8fba5fa0289fe64a0bad3152f975fd",
+        "aggregates.csv": "dd83517d4f357debece871ca9709754bc98b27ee99dfda683dc2ff0415ff637c",
         "config.txt": "c2c376f76d34a1c82d9b25ea33f2203166ecdb724d91f53e2a1d9e9d87f49660",
-        "records.csv": "af4c719cc86af428625e09c3cbefaca626f809c222a3e7883bd5297826bc863b",
+        "records.csv": "a166dbfd6876de6fb3c706e8d98840b697a291529c4afbf268a389d8c3bd3539",
     },
     "weights": {
-        "aggregates.csv": "d5372557540f9635ccdbce717acecd3ef0f458a8ac7be67dde30ff6c87bd5cd6",
+        "aggregates.csv": "fee298f90c2e9be88cb415bd0da10893e832fc7ad07293f43e9e9efb7fde61ac",
         "config.txt": "7180591993e31142d495c2d6482d006c2bac683da7a585e342f213614db3dd18",
-        "records.csv": "5570001a7ea817c76ece2f2ffeb422ec5e15cd830ad742dfe999437eabfbda72",
+        "records.csv": "bf3f414207ce2717f6dffcd4fe07ffc0563cefbf5bbf0998686da974879aec34",
         "table_final_hist.csv": "90e4fdef7400fc7c55616a47d29cf63a603e77e302c74b45cefca7666ef495b6",
         "table_snapshots.csv": "a13c4eb6a85a4090ecf606381dcdd0a9c0d6d377d8f33752e61588feb509e6c0",
     },

@@ -16,6 +16,7 @@ from kuramoto_rc.network import (
     spectral_radius,
 )
 from kuramoto_rc.reservoir import ReservoirConfig
+from kuramoto_rc.tasks import make_task
 
 TWO_PI = 2.0 * np.pi
 
@@ -477,7 +478,7 @@ def developed_coupling(seed):
 
 @pytest.fixture
 def stages(monkeypatch):
-    """Counts entries into the squaring hand-off and the dense last resort."""
+    """Counts entries into the squaring stage and the dense last resort."""
     taken = {"squaring": 0, "dense": 0}
     squaring, dense = netmod._norm_limit_radius, scipy.linalg.eigvals
 
@@ -494,26 +495,8 @@ def stages(monkeypatch):
     return taken
 
 
-@pytest.fixture
-def fits(monkeypatch):
-    """Counts two-term fits, and how many were made before the squaring
-    stage was entered (None if it never was)."""
-    count = {"total": 0, "warm": None}
-    fit, squaring = netmod._two_term_fit, netmod._norm_limit_radius
-
-    def counted_fit(*args, **kwargs):
-        count["total"] += 1
-        return fit(*args, **kwargs)
-
-    def counted_squaring(*args):
-        count["warm"] = count["total"]
-        return squaring(*args)
-
-    monkeypatch.setattr(netmod, "_two_term_fit", counted_fit)
-    monkeypatch.setattr(netmod, "_norm_limit_radius", counted_squaring)
-    return count
-
-
+# Leading eigenvalues within a few percent in modulus, where power steps
+# crawl.
 STALLS = {
     "developed-0": lambda: developed_coupling(0),
     "developed-1": lambda: developed_coupling(1),
@@ -523,8 +506,8 @@ STALLS = {
 
 
 def slow_settling():
-    """Symmetric, with |lambda_3 / lambda_1| = 0.5 behind a dominant pair:
-    the warm stage needs over 20 fits but settles within its 30."""
+    """Symmetric, with |lambda_2 / lambda_1| = 0.6 and
+    |lambda_3 / lambda_1| = 0.5."""
     Q = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))[0]
     return Q @ np.diag([2.0, 1.2, 1.0, 0.3, -0.2, 0.1]) @ Q.T
 
@@ -532,19 +515,20 @@ def slow_settling():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRadiusStages:
     @pytest.mark.parametrize(
-        "K, radius",
+        "K, radius, squarings",
         [
-            (np.diag([2.0, -1.0]), 2.0),
-            (np.array([[2.0, 1.0], [0.0, 2.0]]), 2.0),  # 2x2 Jordan block
-            (1.7 * rotation(0.7), 1.7),
-            (np.array([[-3.0]]), 3.0),
-            (np.zeros((3, 3)), 0.0),
+            (np.diag([2.0, -1.0]), 2.0, 1),
+            (np.array([[2.0, 1.0], [0.0, 2.0]]), 2.0, 1),  # 2x2 Jordan block
+            (1.7 * rotation(0.7), 1.7, 1),
+            (np.array([[-3.0]]), 3.0, 0),
+            (np.zeros((3, 3)), 0.0, 0),
         ],
         ids=["diag(2,-1)", "jordan-2", "scaled-rotation", "1x1", "zero"],
     )
-    def test_warm_stage_settles(self, stages, K, radius):
+    def test_small_cases_settle_exactly(self, stages, K, radius, squarings):
+        # A 1x1 or all-zero matrix needs no stage.
         assert spectral_radius(K) == pytest.approx(radius, abs=1e-12)
-        assert stages == {"squaring": 0, "dense": 0}
+        assert stages == {"squaring": squarings, "dense": 0}
 
     @pytest.mark.parametrize(
         "K, radius",
@@ -580,32 +564,34 @@ class TestRadiusStages:
         assert spectral_radius(K) == pytest.approx(1.0, abs=1e-12)
         assert stages == {"squaring": 1, "dense": 1}
 
-    @pytest.mark.parametrize("case", list(STALLS))
-    def test_stall_is_handed_off_at_the_probe_fit(self, fits, case):
-        K = STALLS[case]()
-        fits.update(total=0, warm=None)
+    @pytest.mark.parametrize(
+        "make_K", [*STALLS.values(), slow_settling], ids=[*STALLS, "slow-settling"]
+    )
+    def test_matches_numpy_where_power_steps_crawl(self, make_K):
+        K = make_K()
         oracle = float(np.max(np.abs(np.linalg.eigvals(K))))
         assert spectral_radius(K) == pytest.approx(oracle, rel=1e-12)
-        assert fits["warm"] is not None
-        assert fits["warm"] <= netmod._PROBE_FIT
 
-    def test_slow_settling_within_budget_stays_warm(self, fits):
-        assert spectral_radius(slow_settling()) == pytest.approx(2.0, rel=1e-12)
-        assert fits["warm"] is None
-        assert 20 <= fits["total"] <= netmod._WARM_STEPS
+    def test_each_rescale_depends_only_on_its_matrix(self, monkeypatch):
+        # Default cell (4, 0.3), seed 3, over a pipeline's 99 development
+        # steps: every rescale applies target / spectral_radius(K) of the
+        # matrix it sees, whatever came before.
+        cfg = ReservoirConfig(seed=3)
+        inputs = make_task("narma10", cfg.len_adev - 1, seed=3).inputs
+        rescale, seen = netmod._rescale_warm, []
 
-    def test_max_iterations_caps_the_warm_stage(self, stages, monkeypatch):
-        monkeypatch.setattr(netmod, "_WARM_STEPS", 1)
-        K = np.diag([2.0, -1.0])
-        assert spectral_radius(K) == pytest.approx(2.0, abs=1e-12)
-        assert stages == {"squaring": 1, "dense": 0}
+        def capture(net, *args):
+            before = net.coupling.copy()
+            result = rescale(net, *args)
+            seen.append((before, net.coupling))
+            return result
 
-    def test_returned_direction_spans_the_leading_pair(self):
-        K = developed_coupling(0)
-        rho, v = netmod._power_radius(K, None)
-        w = K @ v
-        assert np.linalg.norm(v) == pytest.approx(1.0)
-        assert netmod._two_term_fit(np.stack((v, w, K @ w)), rho)[1]
+        monkeypatch.setattr(netmod, "_rescale_warm", capture)
+        netmod.develop(cfg.build_network(), inputs, cfg.spectral_target)
+        assert len(seen) == 99
+        for before, after in seen:
+            factor = cfg.spectral_target / spectral_radius(before)
+            np.testing.assert_array_equal(after, before * factor)
 
 
 class TestRescale:
