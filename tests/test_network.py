@@ -580,11 +580,10 @@ class TestRadiusStages:
         inputs = make_task("narma10", cfg.len_adev - 1, seed=3).inputs
         rescale, seen = netmod._rescale_warm, []
 
-        def capture(net, *args):
+        def capture(net, target):
             before = net.coupling.copy()
-            result = rescale(net, *args)
+            rescale(net, target)
             seen.append((before, net.coupling))
-            return result
 
         monkeypatch.setattr(netmod, "_rescale_warm", capture)
         netmod.develop(cfg.build_network(), inputs, cfg.spectral_target)
