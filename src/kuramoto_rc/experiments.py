@@ -10,8 +10,11 @@ aggregate rows.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
+import operator
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -93,10 +96,61 @@ class SweepSpec:
         ]
 
 
+class _BlockRows(Sequence):
+    """Read-only table rows held as blocks of (key, columns); a row dict is
+    made only when the row is read.
+
+    ``key`` holds the values shared by a block's rows and ``columns`` maps
+    each further column to an array; the arrays of one block have one
+    shape and are read in C order. Row i of a block is the key, then every
+    column's i-th entry as a Python scalar. The rows compare equal to the
+    list of their dicts.
+    """
+
+    def __init__(self, blocks=()):
+        self._blocks = list(blocks)
+        sizes = (next(iter(cols.values())).size for _, cols in self._blocks)
+        self._ends = list(itertools.accumulate(sizes))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self):
+        for key, cols in self._blocks:
+            names = list(cols)
+            for values in zip(*(a.ravel().tolist() for a in cols.values())):
+                row = dict(key)
+                row.update(zip(names, values))
+                yield row
+
+    def __getitem__(self, index):
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("table row index out of range")
+        b = bisect.bisect_right(self._ends, i)
+        key, cols = self._blocks[b]
+        offset = i - (self._ends[b - 1] if b else 0)
+        return {**key, **{c: a.item(offset) for c, a in cols.items()}}
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _BlockRows)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+
 @dataclass
 class ExperimentResult:
     """Tabular study output: one record per (cell, trial) plus aggregate
-    rows per cell, recomputable from the records."""
+    rows per cell, recomputable from the records.
+
+    ``tables`` maps a name to (columns, rows) of a long-form extra table.
+    Its rows are a read-only sequence of row dicts, each built when it is
+    read, so a table costs its value arrays rather than a dict per row.
+    """
 
     columns: list[str]
     records: list[dict]
@@ -104,7 +158,7 @@ class ExperimentResult:
     group_columns: list[str]
     value_columns: list[str]
     quartiles: bool = False
-    tables: dict[str, tuple[list[str], list[dict]]] = field(default_factory=dict)
+    tables: dict[str, tuple[list[str], Sequence[dict]]] = field(default_factory=dict)
 
     @property
     def aggregate_columns(self) -> list[str]:
@@ -250,11 +304,11 @@ def _pipeline_job(payload: dict) -> dict:
     r, _ = order_parameter(result.dev_phases)
     record = {"test_mse": result.test_mse, "train_mse": result.train_mse, "order_r": r}
     if payload.get("predictions"):
-        targets = data.targets[cfg.train_span :]
-        record["predictions"] = [
-            {"step": i, "target": float(t), "prediction": float(p)}
-            for i, (t, p) in enumerate(zip(targets, result.predictions))
-        ]
+        record["predictions"] = {
+            "step": np.arange(result.predictions.size),
+            "target": data.targets[cfg.train_span :],
+            "prediction": result.predictions,
+        }
     if "k_max" in payload:
         master_seed, index, trial = payload["seed_key"]
         mc_seed = derive_seed(master_seed, _MC_STREAM, index, trial)
@@ -283,7 +337,8 @@ def _grid_sweep(spec: SweepSpec, quartiles: bool = False, **extra) -> Experiment
     records = _trial_records(spec, _pipeline_job, cells, _PIPELINE_VALUES, **extra)
     tables = {}
     if extra.get("predictions"):
-        rows = records[0].pop("predictions", [])
+        columns = records[0].pop("predictions", None)
+        rows = _BlockRows([({}, columns)] if columns else ())
         tables["predictions"] = (["step", "target", "prediction"], rows)
     key_columns = group + ["trial", "net_seed", "task_seed"]
     return _make_result(
@@ -323,12 +378,13 @@ def run_mc_study(
         for ni, (lam, rho) in enumerate(sample_nodes)
     ]
     records = _trial_records(spec, _pipeline_job, cells, values, k_max=k_max)
-    curve_rows = [
-        {**{c: rec[c] for c in key_columns}, "delay": k, "coefficient": float(coeff)}
+    delays = np.arange(1, k_max + 1)
+    curves = _BlockRows(
+        ({c: rec[c] for c in key_columns}, {"delay": delays, "coefficient": curve})
         for rec in records
-        for k, coeff in enumerate(rec.pop("mc_curve", ()), start=1)
-    ]
-    tables = {"mc_curve": (key_columns + ["delay", "coefficient"], curve_rows)}
+        if (curve := rec.pop("mc_curve", None)) is not None
+    )
+    tables = {"mc_curve": (key_columns + ["delay", "coefficient"], curves)}
     return _make_result(
         records,
         key_columns,
@@ -464,13 +520,14 @@ def _weight_job(payload: dict) -> dict:
     key = payload["key"]
     net = cfg.build_network(weight_init=(key["initial_a"], key["initial_b"]))
     bins = payload["bins"]
-    snapshots = []
+    inputs = payload["inputs"]
+    # Row i holds the histogram after development step i + 1.
+    snapshots = np.empty((len(inputs), bins), dtype=np.int64)
 
     def on_step(step, current):
-        _, counts = weight_histogram(current.coupling, current.mask, bins)
-        snapshots.append((step, counts))
+        snapshots[step - 1] = weight_histogram(current.coupling, current.mask, bins)[1]
 
-    develop(net, payload["inputs"], cfg.spectral_target, on_step)
+    develop(net, inputs, cfg.spectral_target, on_step)
     centers, final_counts = weight_histogram(net.coupling, net.mask, bins)
     out = {
         "snapshots": snapshots,
@@ -513,31 +570,27 @@ def run_weight_distribution_study(
     ]
     values = ("n_live", "fitted_a", "fitted_b")
     records = _trial_records(spec, _weight_job, cells, values, inputs=inputs, bins=bins)
-    snapshot_rows = []
-    final_rows = []
+    step_column = np.arange(1, len(inputs) + 1)[:, None]
+    snapshots = []
+    final_hist = []
     for rec in records:
+        if "centers" not in rec:  # the job raised before its histograms
+            continue
         job = {"combo_index": rec["combo_index"], "trial": rec["trial"]}
-        centers = rec.pop("centers", ())
-        for step, counts in rec.pop("snapshots", ()):
-            for center, count in zip(centers, counts):
-                snapshot_rows.append(
-                    {
-                        **job,
-                        "step": step,
-                        "bin_center": float(center),
-                        "count": int(count),
-                    }
-                )
-        for center, count in zip(centers, rec.pop("final_counts", ())):
-            final_rows.append({**job, "bin_center": float(center), "count": int(count)})
+        centers = rec.pop("centers")
+        step, center, count = np.broadcast_arrays(
+            step_column, centers, rec.pop("snapshots")
+        )
+        snapshots.append((job, {"step": step, "bin_center": center, "count": count}))
+        final_hist.append((job, {"bin_center": centers, "count": rec.pop("final_counts")}))
     tables = {
         "snapshots": (
             ["combo_index", "trial", "step", "bin_center", "count"],
-            snapshot_rows,
+            _BlockRows(snapshots),
         ),
         "final_hist": (
             ["combo_index", "trial", "bin_center", "count"],
-            final_rows,
+            _BlockRows(final_hist),
         ),
     }
     group = ["combo_index", "initial_a", "initial_b", "beta"]

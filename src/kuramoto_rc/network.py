@@ -292,13 +292,16 @@ def spectral_radius(K: np.ndarray) -> float:
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("K must be square")
-    if not np.isfinite(K).all():
+    # One pass finds the largest magnitude; a NaN or inf entry makes it
+    # non-finite.
+    peak = np.abs(K).max(initial=0.0)
+    if not np.isfinite(peak):
         raise ValueError("K must have finite entries")
     if K.shape[0] == 1:
         return float(abs(K[0, 0]))
-    if not K.any():
+    if peak == 0.0:
         return 0.0
-    return _norm_limit_radius(K)
+    return _norm_limit_radius(K, peak)
 
 
 @lru_cache(maxsize=32)
@@ -342,9 +345,10 @@ def _two_term_fit(B: np.ndarray, previous: float) -> tuple[float, bool]:
     return estimate, float(r @ r) <= _SETTLE_RATIO * float(z @ z)
 
 
-def _norm_limit_radius(K: np.ndarray) -> float:
+def _norm_limit_radius(K: np.ndarray, peak: float) -> float:
     """Squaring stage of ``spectral_radius``: the two-term fit at P x0,
-    P = K^(2^j) by repeated squaring, for a K with a nonzero entry.
+    P = K^(2^j) by repeated squaring, for a K whose largest entry
+    magnitude ``peak`` is positive.
 
     P is renormalized by its largest entry after every squaring. Each
     squaring doubles the power, so even a gap |lambda_2 / lambda_1| near 1
@@ -352,7 +356,7 @@ def _norm_limit_radius(K: np.ndarray) -> float:
     crawl. If no estimate settles within ``_SQUARINGS`` squarings, the
     radius comes from ``scipy.linalg.eigvals``.
     """
-    P = K / np.abs(K).max()
+    P = K / peak
     x0 = _start_vector(K.shape[0])
     B = np.empty((3, K.shape[0]))  # rows x = P x0 / |P x0|, Kx, K^2 x
     previous = np.inf

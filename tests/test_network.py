@@ -453,6 +453,14 @@ class TestSpectralRadius:
             spectral_radius(np.ones((2, 3)))
         with pytest.raises(ValueError):
             spectral_radius(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            spectral_radius(np.array([[np.inf]]))
+        with pytest.raises(ValueError, match="finite"):
+            spectral_radius(np.array([[0.0, -np.inf], [0.0, 0.0]]))
+
+    def test_empty_and_zero_matrices_have_zero_radius(self):
+        assert spectral_radius(np.zeros((0, 0))) == 0.0
+        assert spectral_radius(np.zeros((3, 3))) == 0.0
 
 
 def rotation(angle):
