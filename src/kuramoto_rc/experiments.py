@@ -124,11 +124,7 @@ class _BlockRows(Sequence):
                 yield row
 
     def __getitem__(self, index):
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("table row index out of range")
+        i = range(len(self))[operator.index(index)]  # IndexError past either end
         b = bisect.bisect_right(self._ends, i)
         key, cols = self._blocks[b]
         offset = i - (self._ends[b - 1] if b else 0)
