@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -327,8 +328,10 @@ def write_result(
     """Write the records, aggregates, extra tables, and resolved config.
 
     Aggregates are recomputed from the records and must match what the
-    study stored; a mismatch is a bug and faults the write. Returns the
-    list of files written.
+    study stored; a mismatch is a bug and faults the write. A table whose
+    rows offer ``cells`` is written from those formatted cells, a block
+    and a column at a time with no row dicts; other rows one dict at a
+    time. Returns the list of files written.
     """
     recomputed = result.recompute_aggregates()
     # Compared by repr, so that the NaN statistics of a fully faulted cell
@@ -339,13 +342,16 @@ def write_result(
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def write_csv(name: str, columns: list[str], rows: list[dict]):
+    def write_csv(name: str, columns: list[str], rows: Sequence[dict]):
         path = out / name
+        if hasattr(rows, "cells"):
+            cells = rows.cells(columns, _format_value)
+        else:
+            cells = ([_format_value(row.get(c)) for c in columns] for row in rows)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_format_value(row.get(c)) for c in columns])
+            writer.writerows(cells)
         written.append(str(path))
 
     if fmt == "csv":

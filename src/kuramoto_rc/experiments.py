@@ -130,12 +130,41 @@ class _BlockRows(Sequence):
         offset = i - (self._ends[b - 1] if b else 0)
         return {**key, **{c: a.item(offset) for c, a in cols.items()}}
 
+    def cells(self, columns, fmt):
+        """Yield each row's ``tuple(fmt(row.get(c)) for c in columns)`` in
+        row order, without making the row dicts.
+
+        A key value is formatted once per block and an array column once
+        per stored entry: a broadcast view's zero-stride axes are dropped
+        before formatting and the cells broadcast back.
+        """
+        for key, cols in self._blocks:
+            size = next(iter(cols.values())).size
+            if size:  # one block's cells are held at a time
+                yield from zip(
+                    *(
+                        _formatted(cols[c], fmt)
+                        if c in cols
+                        else itertools.repeat(fmt(key.get(c)), size)
+                        for c in columns
+                    )
+                )
+
     def __eq__(self, other):
         if not isinstance(other, (list, _BlockRows)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
     __hash__ = None
+
+
+def _formatted(values: np.ndarray, fmt) -> list:
+    """``fmt`` of every entry of ``values`` in C order, called once per
+    entry the array stores."""
+    stored = values[tuple(0 if s == 0 else slice(None) for s in values.strides)]
+    cells = np.array([fmt(v) for v in stored.ravel().tolist()], dtype=object)
+    kept = [n if s else 1 for n, s in zip(values.shape, values.strides)]
+    return np.broadcast_to(cells.reshape(kept), values.shape).ravel().tolist()
 
 
 @dataclass
@@ -279,8 +308,10 @@ def _trial_records(spec: SweepSpec, fn, cells: list, values, **extra) -> list[di
     job = functools.partial(_guarded, fn)
     if spec.workers > 1 and len(payloads) > 1:
         # One job at a time: job costs vary several-fold across cells, and
-        # chunks leave a worker idle at the end.
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        # chunks leave a worker idle at the end. A fork pool starts all its
+        # workers at once, so it gets no more than there are jobs.
+        workers = min(spec.workers, len(payloads))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(job, payloads))
     else:
         outcomes = [job(p) for p in payloads]

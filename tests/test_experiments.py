@@ -139,6 +139,42 @@ class TestGridSweep:
             assert serial.aggregates == parallel.aggregates
             assert serial.tables == parallel.tables
 
+    @pytest.mark.parametrize("workers, jobs, pool_size", [(8, 2, 2), (2, 3, 2)])
+    def test_pool_has_no_more_workers_than_jobs(
+        self, monkeypatch, workers, jobs, pool_size
+    ):
+        # A recording stand-in for the pool runs the jobs in this process,
+        # so no worker is started whatever the requested count.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        inits = [(1.0, 1.0), (5.0, 1.0), (1.0, 5.0)][:jobs]
+
+        def study(n_workers):
+            spec = SweepSpec(
+                base=tiny_base(), axes={"beta": [0.0]}, trials=1, workers=n_workers
+            )
+            return run_weight_distribution_study(spec, inits, [0.0], 4, 5)
+
+        serial = study(1)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        pooled = study(workers)
+        assert sizes == [pool_size]
+        assert pooled.records == serial.records
+        assert pooled.tables == serial.tables
+
     def test_record_reproducible_in_isolation(self):
         spec = SweepSpec(
             base=tiny_base(),
