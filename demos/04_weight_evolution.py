@@ -12,17 +12,13 @@ from kuramoto_rc import ReservoirConfig, SweepSpec, run_weight_distribution_stud
 
 spec = SweepSpec(
     task="narma10",
-    base=ReservoirConfig(),
+    base=ReservoirConfig(len_adev=60),
     axes={"beta": [-np.pi / 2]},
     trials=1,
     master_seed=3,
 )
 result = run_weight_distribution_study(
-    spec,
-    initial_params=[(0.4, 0.4), (10.0, 10.0)],
-    betas=[-np.pi / 2],
-    bins=12,
-    dev_steps=60,
+    spec, initial_params=[(0.4, 0.4), (10.0, 10.0)], bins=12
 )
 
 _, snapshots = result.tables["snapshots"]

@@ -13,10 +13,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, make_dataclass
+from decimal import Decimal
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -78,7 +80,7 @@ class _RunConfigMethods:
             raise ValueError(f"unknown command {self.command!r}; one of {COMMANDS}")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
-        minima = {"trials": 1, "workers": 1, "bins": 1, "k_max": 1, "length": 2}
+        minima = {"trials": 1, "workers": 1, "bins": 1, "k_max": 1, "length": 2, "seed": 0}
         for key, low in minima.items():
             value = getattr(self, key)
             if value is not None and value < low:
@@ -110,15 +112,19 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_float_list(text: str) -> list[float]:
+    """Comma-separated floats, or start:stop:step computed in decimal, so
+    that 0.1:0.3:0.1 gives 0.1, 0.2 and 0.3 as written."""
     text = text.strip()
     if ":" in text and "," not in text:
         parts = [float(p) for p in text.split(":")]
         if len(parts) != 3:
             raise ValueError(f"range syntax is start:stop:step, got {text!r}")
-        start, stop, step = parts
+        if not all(map(math.isfinite, parts)):
+            raise ValueError(f"range bounds and step must be finite, got {text!r}")
+        start, stop, step = (Decimal(repr(p)) for p in parts)
         if step <= 0:
             raise ValueError("range step must be positive")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
+        count = math.floor((stop - start) / step) + 1
         values = [float(start + i * step) for i in range(count)]
     else:
         values = [float(p) for p in text.split(",") if p.strip()]
@@ -442,12 +448,8 @@ def dispatch(cfg: RunConfig) -> int:
         result = run_beta_sweep(_sweep_spec(cfg, {"beta": list(cfg.beta_grid)}))
     else:  # "weights"; RunConfig has validated the command
         spec = _sweep_spec(cfg, {"beta": list(cfg.weight_betas)})
-        result = run_weight_distribution_study(
-            spec,
-            [tuple(p) for p in cfg.weight_inits],
-            [float(b) for b in cfg.weight_betas],
-            bins=cfg.bins,
-        )
+        inits = [tuple(p) for p in cfg.weight_inits]
+        result = run_weight_distribution_study(spec, inits, bins=cfg.bins)
     write_result(result, cfg.format, cfg.outdir, cfg)
     print(
         f"{command}: wrote {len(result.records)} records to {cfg.outdir}"

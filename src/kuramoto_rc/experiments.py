@@ -101,14 +101,17 @@ class _BlockRows(Sequence):
     made only when the row is read.
 
     ``key`` holds the values shared by a block's rows and ``columns`` maps
-    each further column to an array; the arrays of one block have one
-    shape and are read in C order. Row i of a block is the key, then every
-    column's i-th entry as a Python scalar. The rows compare equal to the
-    list of their dicts.
+    each further column to an array; a block's arrays are broadcast to one
+    shape when it is stored and read in C order. Row i of a block is the
+    key, then every column's i-th entry as a Python scalar. The rows
+    compare equal to the list of their dicts.
     """
 
     def __init__(self, blocks=()):
-        self._blocks = list(blocks)
+        self._blocks = [
+            (key, dict(zip(cols, np.broadcast_arrays(*cols.values()))))
+            for key, cols in blocks
+        ]
         sizes = (next(iter(cols.values())).size for _, cols in self._blocks)
         self._ends = list(itertools.accumulate(sizes))
 
@@ -252,11 +255,26 @@ def _make_result(
     group_columns: list[str],
     value_columns: list[str] | None = None,
     quartiles: bool = False,
-    tables: dict | None = None,
+    tables: dict[str, list[str]] | None = None,
 ) -> ExperimentResult:
     """Result whose records list the key columns, then ``values``, then the
-    fault; aggregated over ``value_columns`` (``values`` by default)."""
+    fault; aggregated over ``value_columns`` (``values`` by default).
+
+    ``tables`` names each table's columns. A record's ``tables`` entry,
+    taken out here, maps a table name to that job's arrays of some of its
+    columns; the record's values of the other columns key the block.
+    """
     value_columns = list(value_columns or values)
+    job_tables = [rec.pop("tables", {}) for rec in records]
+    built = {}
+    for name, columns in (tables or {}).items():
+        blocks = []
+        for rec, own in zip(records, job_tables):
+            if name in own:
+                block = own[name]
+                key = {c: rec[c] for c in columns if c not in block}
+                blocks.append((key, {c: block[c] for c in columns if c in block}))
+        built[name] = (columns, _BlockRows(blocks))
     return ExperimentResult(
         columns=[*key_columns, *values, "fault"],
         records=records,
@@ -264,7 +282,7 @@ def _make_result(
         group_columns=group_columns,
         value_columns=value_columns,
         quartiles=quartiles,
-        tables=tables or {},
+        tables=built,
     )
 
 
@@ -329,9 +347,10 @@ def _pipeline_job(payload: dict) -> dict:
     )
     result = run_pipeline(cfg, data)
     r, _ = order_parameter(result.dev_phases)
+    tables = {}
     record = {"test_mse": result.test_mse, "train_mse": result.train_mse, "order_r": r}
     if payload.get("predictions"):
-        record["predictions"] = {
+        tables["predictions"] = {
             "step": np.arange(result.predictions.size),
             "target": data.targets[cfg.train_span :],
             "prediction": result.predictions,
@@ -341,8 +360,11 @@ def _pipeline_job(payload: dict) -> dict:
         mc_seed = derive_seed(master_seed, _MC_STREAM, index, trial)
         curve = memory_capacity(cfg, result.network, k_max=payload["k_max"], seed=mc_seed)
         record["mc_total"] = curve.total
-        record["mc_curve"] = curve.coefficients
-    return record
+        tables["mc_curve"] = {
+            "delay": np.arange(1, curve.coefficients.size + 1),
+            "coefficient": curve.coefficients,
+        }
+    return {**record, "tables": tables}
 
 
 def run_grid_sweep(spec: SweepSpec) -> ExperimentResult:
@@ -358,15 +380,13 @@ def run_grid_sweep(spec: SweepSpec) -> ExperimentResult:
 def _grid_sweep(spec: SweepSpec, quartiles: bool = False, **extra) -> ExperimentResult:
     """The grid sweep, its aggregates with boxplot statistics when
     ``quartiles`` is set; ``extra`` goes into every job's payload. With
-    ``predictions`` the first record's predictions become a table."""
+    ``predictions`` each job's test-span predictions become a table."""
     group = ["cell_index", *spec.axes]
     cells = [(ci, {"cell_index": ci, **cell}) for ci, cell in enumerate(spec.cells())]
     records = _trial_records(spec, _pipeline_job, cells, _PIPELINE_VALUES, **extra)
     tables = {}
     if extra.get("predictions"):
-        columns = records[0].pop("predictions", None)
-        rows = _BlockRows([({}, columns)] if columns else ())
-        tables["predictions"] = (["step", "target", "prediction"], rows)
+        tables["predictions"] = ["step", "target", "prediction"]
     key_columns = group + ["trial", "net_seed", "task_seed"]
     return _make_result(
         records, key_columns, _PIPELINE_VALUES, group, quartiles=quartiles, tables=tables
@@ -405,21 +425,9 @@ def run_mc_study(
         for ni, (lam, rho) in enumerate(sample_nodes)
     ]
     records = _trial_records(spec, _pipeline_job, cells, values, k_max=k_max)
-    delays = np.arange(1, k_max + 1)
-    curves = _BlockRows(
-        ({c: rec[c] for c in key_columns}, {"delay": delays, "coefficient": curve})
-        for rec in records
-        if (curve := rec.pop("mc_curve", None)) is not None
-    )
-    tables = {"mc_curve": (key_columns + ["delay", "coefficient"], curves)}
-    return _make_result(
-        records,
-        key_columns,
-        values,
-        group,
-        ["test_mse", "order_r", "mc_total"],
-        tables=tables,
-    )
+    tables = {"mc_curve": key_columns + ["delay", "coefficient"]}
+    value_columns = ["test_mse", "order_r", "mc_total"]
+    return _make_result(records, key_columns, values, group, value_columns, tables=tables)
 
 
 def run_sparsity_sweep(spec: SweepSpec) -> ExperimentResult:
@@ -556,11 +564,13 @@ def _weight_job(payload: dict) -> dict:
 
     develop(net, inputs, cfg.spectral_target, on_step)
     centers, final_counts = weight_histogram(net.coupling, net.mask, bins)
+    steps = np.arange(1, len(inputs) + 1)[:, None]
     out = {
-        "snapshots": snapshots,
-        "centers": centers,
-        "final_counts": final_counts,
         "n_live": int(net.mask.sum()),
+        "tables": {
+            "snapshots": {"step": steps, "bin_center": centers, "count": snapshots},
+            "final_hist": {"bin_center": centers, "count": final_counts},
+        },
     }
     # A failed fit keeps the histograms, so it is caught here.
     try:
@@ -575,57 +585,33 @@ def _weight_job(payload: dict) -> dict:
 def run_weight_distribution_study(
     spec: SweepSpec,
     initial_params: list[tuple[float, float]],
-    betas: list[float],
     bins: int = 50,
-    dev_steps: int | None = None,
 ) -> ExperimentResult:
     """Weight distributions before and after development.
 
     Live weights start from a beta distribution with the given shape
-    parameters (mapped onto [-1, 1]); the network develops on the task
-    input for ``dev_steps`` steps (the development length by default). The
-    result records a beta fit of the developed weights per combination and
-    a per-step histogram table tracking the distribution's evolution.
+    parameters (mapped onto [-1, 1]), once per value of the spec's ``beta``
+    axis; the network develops on the task input for the base config's
+    ``len_adev`` steps. The result records a beta fit of the developed
+    weights per combination and a per-step histogram table tracking the
+    distribution's evolution.
     """
-    if not initial_params or not betas:
-        raise ValueError("initial_params and betas must be nonempty")
-    steps = dev_steps if dev_steps is not None else spec.base.len_adev
-    inputs = _develop_inputs(spec, steps)
+    betas = spec.axes.get("beta")
+    if betas is None:
+        raise ValueError("weight study needs a 'beta' axis")
+    if not initial_params:
+        raise ValueError("initial_params must be nonempty")
+    inputs = _develop_inputs(spec, spec.base.len_adev)
     cells = [
         (ci, {"combo_index": ci, "initial_a": a, "initial_b": b, "beta": beta})
         for ci, ((a, b), beta) in enumerate(itertools.product(initial_params, betas))
     ]
     values = ("n_live", "fitted_a", "fitted_b")
     records = _trial_records(spec, _weight_job, cells, values, inputs=inputs, bins=bins)
-    step_column = np.arange(1, len(inputs) + 1)[:, None]
-    snapshots = []
-    final_hist = []
-    for rec in records:
-        if "centers" not in rec:  # the job raised before its histograms
-            continue
-        job = {"combo_index": rec["combo_index"], "trial": rec["trial"]}
-        centers = rec.pop("centers")
-        step, center, count = np.broadcast_arrays(
-            step_column, centers, rec.pop("snapshots")
-        )
-        snapshots.append((job, {"step": step, "bin_center": center, "count": count}))
-        final_hist.append((job, {"bin_center": centers, "count": rec.pop("final_counts")}))
     tables = {
-        "snapshots": (
-            ["combo_index", "trial", "step", "bin_center", "count"],
-            _BlockRows(snapshots),
-        ),
-        "final_hist": (
-            ["combo_index", "trial", "bin_center", "count"],
-            _BlockRows(final_hist),
-        ),
+        "snapshots": ["combo_index", "trial", "step", "bin_center", "count"],
+        "final_hist": ["combo_index", "trial", "bin_center", "count"],
     }
     group = ["combo_index", "initial_a", "initial_b", "beta"]
-    return _make_result(
-        records,
-        group + ["trial"],
-        values,
-        group,
-        ["fitted_a", "fitted_b"],
-        tables=tables,
-    )
+    fits = ["fitted_a", "fitted_b"]
+    return _make_result(records, group + ["trial"], values, group, fits, tables=tables)

@@ -20,7 +20,6 @@ class McCurve:
     """Per-delay memory coefficients and their sum."""
 
     coefficients: np.ndarray  # MC_k for k = 1..k_max
-    k_max: int
 
     @property
     def total(self) -> float:
@@ -112,7 +111,7 @@ def memory_capacity(
             for k in range(k_max)
         ]
     )
-    return McCurve(coefficients=coefficients, k_max=k_max)
+    return McCurve(coefficients=coefficients)
 
 
 def matrix_distance(Ka: np.ndarray, Kb: np.ndarray, mode: str = "signed") -> float:

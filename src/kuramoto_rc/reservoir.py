@@ -225,9 +225,7 @@ def drive(net: OscillatorNetwork, inputs: np.ndarray) -> np.ndarray:
 
 
 def develop_and_collect(
-    cfg: ReservoirConfig,
-    data: TaskData,
-    net: OscillatorNetwork | None = None,
+    cfg: ReservoirConfig, data: TaskData
 ) -> tuple[OscillatorNetwork, StateTrace]:
     """Run the development-plus-collection loop over the training span.
 
@@ -238,10 +236,9 @@ def develop_and_collect(
     instead runs len_adev development steps followed by len_train
     collection steps.
 
-    Returns the developed network and the collected trace.
+    Returns the network ``cfg`` builds, developed, and the collected trace.
     """
-    if net is None:
-        net = cfg.build_network()
+    net = cfg.build_network()
     total = cfg.train_span
     if len(data) < total:
         raise ValueError(
@@ -276,7 +273,7 @@ def solve_ridge(X: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def train_readout(
-    trace: StateTrace | np.ndarray,
+    states: np.ndarray,
     targets: np.ndarray,
     alpha: float,
     use_bias: bool = False,
@@ -284,10 +281,7 @@ def train_readout(
     center_phases: bool = False,
 ) -> Readout:
     """Fit readout weights by ridge regression (``solve_ridge``) on the
-    features of collected states. ``trace`` may be a StateTrace or a plain
-    state matrix.
-    """
-    states = trace.states if isinstance(trace, StateTrace) else np.asarray(trace)
+    features of a state matrix, one row per target."""
     y = np.asarray(targets, dtype=float)
     X = build_features(states, use_bias, use_trig_features, center_phases)
     if X.shape[0] != y.shape[0] or y.shape[0] < 1:
@@ -337,8 +331,11 @@ def predict(
 def run_pipeline(cfg: ReservoirConfig, data: TaskData) -> PipelineResult:
     """Full run: develop, train the readout, and evaluate on the test span.
 
-    Deterministic given ``cfg.seed`` and the task data.
+    Deterministic given ``cfg.seed`` and the task data. An empty test span
+    raises ValueError, since its error would be the mean of nothing.
     """
+    if cfg.len_test < 1:
+        raise ValueError("len_test must be at least 1 for a pipeline run")
     train_span = cfg.train_span
     if len(data) < train_span + cfg.len_test:
         raise ValueError(
@@ -350,17 +347,9 @@ def run_pipeline(cfg: ReservoirConfig, data: TaskData) -> PipelineResult:
         targets=data.targets[train_span : train_span + cfg.len_test],
     )
     net, trace = develop_and_collect(cfg, data)
-    readout = train_readout(
-        trace,
-        trace.targets,
-        cfg.ridge_alpha,
-        use_bias=cfg.use_bias,
-        use_trig_features=cfg.use_trig_features,
-        center_phases=cfg.center_phases,
-    )
-    feats = build_features(
-        trace.states, cfg.use_bias, cfg.use_trig_features, cfg.center_phases
-    )
+    flags = (cfg.use_bias, cfg.use_trig_features, cfg.center_phases)
+    readout = train_readout(trace.states, trace.targets, cfg.ridge_alpha, *flags)
+    feats = build_features(trace.states, *flags)
     train_mse = float(np.mean((feats @ readout.weights - trace.targets) ** 2))
     predictions = predict(net, readout, cfg, test_data)
     test_mse = float(np.mean((predictions - test_data.targets) ** 2))

@@ -223,19 +223,13 @@ def test_criterion_5_beta_structure():
 def test_criterion_6_weight_distribution_convergence():
     spec = SweepSpec(
         task="narma10",
-        base=ReservoirConfig(),
+        base=ReservoirConfig(len_adev=100),
         axes={"beta": [math.pi / 2]},
         trials=1,
         master_seed=MASTER + 4,
         workers=1,
     )
-    result = run_weight_distribution_study(
-        spec,
-        [(0.4, 0.4), (10.0, 10.0)],
-        [math.pi / 2],
-        bins=50,
-        dev_steps=100,
-    )
+    result = run_weight_distribution_study(spec, [(0.4, 0.4), (10.0, 10.0)], bins=50)
     rec_a, rec_b = result.records
     fits_agree = (
         abs(rec_a["fitted_a"] - rec_b["fitted_a"]) <= 0.1

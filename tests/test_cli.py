@@ -15,7 +15,12 @@ from kuramoto_rc.cli import (
     parse_config,
     write_result,
 )
-from kuramoto_rc.experiments import SweepSpec, run_grid_sweep
+from kuramoto_rc.experiments import (
+    SweepSpec,
+    default_lambda_grid,
+    default_rho_grid,
+    run_grid_sweep,
+)
 from kuramoto_rc.reservoir import ReservoirConfig
 
 TINY = {
@@ -91,6 +96,16 @@ class TestParseConfig:
         assert cfg.lambda_grid == [0.5, 1.0, 1.5, 2.0]
         cfg = parse_config(None, {"rho_grid": "0.1,0.2,0.4"})
         assert cfg.rho_grid == [0.1, 0.2, 0.4]
+        # Range values are exact decimals, so they equal the default grids.
+        assert parse_config(None, {"rho_grid": "0.1:2:0.1"}).rho_grid == default_rho_grid()
+        cfg = parse_config(None, {"lambda_grid": "0.5:8:0.5"})
+        assert cfg.lambda_grid == default_lambda_grid()
+        assert parse_config(None, {"rho_grid": "0.1:0.35:0.1"}).rho_grid == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize("text", ["1:inf:1", "-inf:1:1", "0:1:nan", "0:1:inf"])
+    def test_non_finite_range_names_key(self, text):
+        with pytest.raises(ValueError, match="lambda_grid.*must be finite"):
+            parse_config(None, {"lambda_grid": text})
 
     def test_pair_list_syntax(self):
         cfg = parse_config(None, {"weight_inits": "0.4,0.4;10,10"})
@@ -136,7 +151,13 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         ("key", "value"),
-        [("bins", "0"), ("k_max", "0"), ("length", "1"), ("workers", "0")],
+        [
+            ("bins", "0"),
+            ("k_max", "0"),
+            ("length", "1"),
+            ("workers", "0"),
+            ("seed", "-1"),
+        ],
     )
     def test_out_of_range_study_option_names_key(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be at least"):
@@ -561,6 +582,31 @@ class TestMain:
         key = flags[0][2:]
         assert f"{key} applies only to file: tasks" in capsys.readouterr().err
         assert not outdir.exists()
+
+    def test_mc_nodes_on_a_range_grid(self, tmp_path):
+        # 0.3 lies on the range 0.1:2:0.1 only when its values are exact.
+        flags = ["--n", "20", "--len-adev", "8", "--len-train", "40", "--len-test", "10"]
+        flags += ["--lambda-grid", "0.5:8:0.5", "--rho-grid", "0.1:2:0.1"]
+        flags += ["--nodes", "4,0.3", "--k-max", "5", "--trials", "1"]
+        assert main(["mc", *flags, "--outdir", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "table_mc_curve.csv")
+        assert len(rows) == 5
+        cfg = parse_config(tmp_path / "config.txt", {})
+        assert cfg.rho_grid == default_rho_grid()
+
+    def test_empty_test_span_faults_every_pipeline_study(self, tmp_path):
+        flags = ["--n", "20", "--len-adev", "8", "--len-train", "40", "--len-test", "0"]
+        flags += ["--lambda-grid", "2", "--rho-grid", "0.4", "--trials", "1"]
+        for command in ("run", "sweep", "mc", "sparsity", "beta-sweep"):
+            outdir = tmp_path / command
+            extra = ["--density-grid", "0.1", "--beta-grid", "0", "--k-max", "5"]
+            assert main([command, *flags, *extra, "--outdir", str(outdir)]) == 1
+            header, rows = read_csv(outdir / "records.csv")
+            faults = [dict(zip(header, row))["fault"] for row in rows]
+            assert rows and all(
+                f == "ValueError: len_test must be at least 1 for a pipeline run"
+                for f in faults
+            )
 
     def test_unknown_subcommand_exits_with_usage(self, capsys):
         with pytest.raises(SystemExit):

@@ -71,10 +71,8 @@ def tables_only(tables) -> ExperimentResult:
 
 class TestStudyTablesMatchPerRowWriter:
     def test_weight_tables(self, tmp_path):
-        spec = SweepSpec(base=tiny_base(), axes={"beta": [0.0]}, trials=2)
-        result = run_weight_distribution_study(
-            spec, [(1.0, 1.0), (5.0, 1.0)], [0.0, 1.5], bins=4, dev_steps=5
-        )
+        spec = SweepSpec(base=tiny_base(len_adev=5), axes={"beta": [0.0, 1.5]}, trials=2)
+        result = run_weight_distribution_study(spec, [(1.0, 1.0), (5.0, 1.0)], bins=4)
         assert len(result.tables["snapshots"][1]) == 8 * 5 * 4
         assert_csv_matches_reference(result, tmp_path)
 
@@ -129,9 +127,7 @@ def default_weights():
         trials=cfg.resolved_trials(),
         master_seed=cfg.seed,
     )
-    result = run_weight_distribution_study(
-        spec, cfg.weight_inits, cfg.weight_betas, bins=cfg.bins
-    )
+    result = run_weight_distribution_study(spec, cfg.weight_inits, bins=cfg.bins)
     assert len(result.tables["snapshots"][1]) == 90_000
     return result, cfg
 

@@ -124,12 +124,13 @@ class TestGridSweep:
             master_seed=5,
         )
         density = dict(kwargs, axes={"density": [0.1, 0.3]})
+        weights = dict(kwargs, base=tiny_base(len_adev=4), axes={"beta": [0.0]})
         studies = [
             (run_grid_sweep, kwargs, ()),
             (run_mc_study, kwargs, ([(1.0, 0.3), (3.0, 0.6)], 5)),
             (run_sparsity_sweep, density, ()),
             (run_astringency, density, ()),
-            (run_weight_distribution_study, kwargs, ([(1.0, 1.0)], [0.0], 5, 4)),
+            (run_weight_distribution_study, weights, ([(1.0, 1.0)], 5)),
         ]
         for study, spec_kwargs, args in studies:
             serial = study(SweepSpec(workers=1, **spec_kwargs), *args)
@@ -164,9 +165,12 @@ class TestGridSweep:
 
         def study(n_workers):
             spec = SweepSpec(
-                base=tiny_base(), axes={"beta": [0.0]}, trials=1, workers=n_workers
+                base=tiny_base(len_adev=5),
+                axes={"beta": [0.0]},
+                trials=1,
+                workers=n_workers,
             )
-            return run_weight_distribution_study(spec, inits, [0.0], 4, 5)
+            return run_weight_distribution_study(spec, inits, 4)
 
         serial = study(1)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
@@ -381,14 +385,12 @@ class TestBetaSweep:
 class TestWeightDistributionStudy:
     def test_records_and_tables(self):
         spec = SweepSpec(
-            base=tiny_base(),
-            axes={"beta": [0.0]},
+            base=tiny_base(len_adev=15),
+            axes={"beta": [0.0, np.pi / 2]},
             trials=1,
             master_seed=16,
         )
-        result = run_weight_distribution_study(
-            spec, [(1.0, 1.0), (5.0, 1.0)], [0.0, np.pi / 2], bins=10, dev_steps=15
-        )
+        result = run_weight_distribution_study(spec, [(1.0, 1.0), (5.0, 1.0)], bins=10)
         assert len(result.records) == 4
         _, snap_rows = result.tables["snapshots"]
         assert len(snap_rows) == 4 * 15 * 10
@@ -417,7 +419,12 @@ class TestWeightDistributionStudy:
     def test_requires_nonempty_lists(self):
         spec = SweepSpec(base=tiny_base(), axes={"beta": [0.0]}, trials=1)
         with pytest.raises(ValueError, match="nonempty"):
-            run_weight_distribution_study(spec, [], [0.0])
+            run_weight_distribution_study(spec, [])
+
+    def test_requires_a_beta_axis(self):
+        spec = SweepSpec(base=tiny_base(), axes={"lam": [1.0]}, trials=1)
+        with pytest.raises(ValueError, match="'beta' axis"):
+            run_weight_distribution_study(spec, [(1.0, 1.0)])
 
 
 def diverging_base():
@@ -472,12 +479,12 @@ class TestFaultIsolation:
         spec = SweepSpec(
             base=diverging_base(), axes={"beta": [0.0]}, trials=2, workers=workers
         )
-        result = run_weight_distribution_study(spec, [(1.0, 1.0)], [0.0], bins=5)
+        result = run_weight_distribution_study(spec, [(1.0, 1.0)], bins=5)
         assert result.n_faults == 2
         for rec in result.records:
             assert rec["fault"].startswith(self.DIVERGED)
             assert all(np.isnan(rec[c]) for c in ("n_live", "fitted_a", "fitted_b"))
-            assert "snapshots" not in rec
+            assert "tables" not in rec
         assert result.tables["snapshots"][1] == []
         assert result.tables["final_hist"][1] == []
         assert result.aggregates[0]["n_faults"] == 2
@@ -493,6 +500,6 @@ class TestFaultIsolation:
             for rec in result.records:
                 assert rec["fault"].startswith(self.DIVERGED)
                 assert np.isnan(rec["test_mse"]) and np.isnan(rec["order_r"])
-                assert "mc_curve" not in rec
+                assert "tables" not in rec
         assert np.isnan(result.records[0]["mc_total"])
         assert result.tables["mc_curve"][1] == []

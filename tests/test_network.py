@@ -607,6 +607,10 @@ class TestRescale:
         rescale_to_radius(net, 1.0)
         assert np.allclose(net.coupling, np.diag([1.0, 0.5]), atol=1e-9)
 
+    def test_development_rescales_through_rescale_to_radius(self):
+        # One rescale body: develop's name for it is the same function.
+        assert netmod._rescale_warm is rescale_to_radius
+
     def test_zero_matrix_unchanged(self):
         net = two_node_net([0.0, 0.0], np.zeros((2, 2)))
         rescale_to_radius(net, 0.9)

@@ -46,3 +46,19 @@ def test_only_trial_records_runs_jobs():
         )
     ]
     assert runners == ["_trial_records"]
+
+
+def test_only_make_result_builds_tables():
+    # Jobs return their tables' columns as arrays; one function keys and
+    # stores them. Methods of _BlockRows itself are not module-level.
+    source = Path(kuramoto_rc.__file__).parent / "experiments.py"
+    builders = [
+        node.name
+        for node in ast.parse(source.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(name, ast.Name) and name.id == "_BlockRows"
+            for name in ast.walk(node)
+        )
+    ]
+    assert builders == ["_make_result"]

@@ -143,7 +143,7 @@ class TestDevelopAndCollect:
     def test_developed_coupling_converges_across_value_seeds(self):
         # same mask, frequencies, and input; only the initial live weights
         # differ: development pulls the matrices together
-        from kuramoto_rc.network import init_network, reinitialize_weights
+        from kuramoto_rc.network import develop, init_network, reinitialize_weights
         from kuramoto_rc.metrics import matrix_distance
 
         cfg = ReservoirConfig(len_adev=100, len_train=150, len_test=10, beta=0.0)
@@ -162,7 +162,9 @@ class TestDevelopAndCollect:
             for seed in (1, 2)
         ]
         initial = matrix_distance(nets[0].coupling, nets[1].coupling, "absolute")
-        developed = [develop_and_collect(cfg, data, net=n)[0] for n in nets]
+        # The development develop_and_collect runs: len_adev - 1 steps.
+        steps = data.inputs[: cfg.len_adev - 1]
+        developed = [develop(n, steps, cfg.spectral_target) for n in nets]
         final = matrix_distance(
             developed[0].coupling, developed[1].coupling, "absolute"
         )
@@ -274,7 +276,7 @@ class TestPredict:
         )
         net, trace = develop_and_collect(cfg, data)
         readout = train_readout(
-            trace,
+            trace.states,
             trace.targets,
             alpha=1e-8,
             use_bias=True,
@@ -369,6 +371,12 @@ class TestRunPipeline:
         cfg = small_cfg()
         with pytest.raises(ValueError, match="260"):
             run_pipeline(cfg, gen_narma10(100, seed=1))
+
+    def test_empty_test_span_raises_naming_len_test(self):
+        # An empty test span has no error to report: the mean of nothing.
+        cfg = small_cfg(len_test=0)
+        with pytest.raises(ValueError, match="len_test must be at least 1"):
+            run_pipeline(cfg, gen_narma10(cfg.len_train, seed=12))
 
     def test_extra_train_mode_consumes_more_data(self):
         cfg = small_cfg(extra_train_after_dev=True)

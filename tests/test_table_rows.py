@@ -2,7 +2,9 @@
 
 Each table is compared with a reference built the way the rows used to be
 made, one dict per row from the jobs' own outputs, cell by cell with the
-exact Python type and key order.
+exact Python type and key order. A job returns its tables' value arrays
+under its record's ``tables`` key; the reference counts steps, delays and
+rows itself rather than reading a job's step or delay column.
 """
 
 import copy
@@ -33,7 +35,7 @@ def tiny_base(**kw):
 @pytest.fixture
 def job_records(monkeypatch):
     """Copies of the job records of every study run in the test, taken
-    before the study moves their arrays into tables."""
+    before the study moves their ``tables`` arrays into its tables."""
     captured = []
     trial_records = experiments._trial_records
 
@@ -50,13 +52,16 @@ def weight_tables(records):
     snapshots, final_hist = [], []
     for rec in records:
         job = {"combo_index": rec["combo_index"], "trial": rec["trial"]}
-        centers = rec.get("centers", ())
-        for step, counts in enumerate(rec.get("snapshots", ()), start=1):
+        if "tables" not in rec:  # the job raised before its histograms
+            continue
+        snapped, final = rec["tables"]["snapshots"], rec["tables"]["final_hist"]
+        centers = snapped["bin_center"]
+        for step, counts in enumerate(snapped["count"], start=1):
             for center, count in zip(centers, counts):
                 snapshots.append(
                     {**job, "step": step, "bin_center": float(center), "count": int(count)}
                 )
-        for center, count in zip(centers, rec.get("final_counts", ())):
+        for center, count in zip(final["bin_center"], final["count"]):
             final_hist.append({**job, "bin_center": float(center), "count": int(count)})
     return {"snapshots": snapshots, "final_hist": final_hist}
 
@@ -65,12 +70,13 @@ def mc_curve_table(records, key_columns):
     return [
         {**{c: rec[c] for c in key_columns}, "delay": k, "coefficient": float(coeff)}
         for rec in records
-        for k, coeff in enumerate(rec.get("mc_curve", ()), start=1)
+        if "tables" in rec
+        for k, coeff in enumerate(rec["tables"]["mc_curve"]["coefficient"], start=1)
     ]
 
 
 def predictions_table(record):
-    columns = record["predictions"]
+    columns = record["tables"]["predictions"]
     return [
         {"step": i, "target": float(t), "prediction": float(p)}
         for i, (t, p) in enumerate(zip(columns["target"], columns["prediction"]))
@@ -95,6 +101,12 @@ def assert_same_rows(rows, reference):
     assert rows == reference and reference == rows
 
 
+def assert_records_hold_no_arrays(result):
+    for rec in result.records:
+        assert "tables" not in rec
+        assert not any(isinstance(v, np.ndarray) for v in rec.values())
+
+
 def assert_pickles(result):
     copied = pickle.loads(pickle.dumps(result))
     assert copied.records == result.records
@@ -107,16 +119,16 @@ def assert_pickles(result):
 @pytest.mark.parametrize("workers", [1, 2])
 class TestTablesMatchPerRowReference:
     def test_weight_tables(self, workers, job_records):
-        spec = SweepSpec(base=tiny_base(), axes={"beta": [0.0]}, trials=1, workers=workers)
-        result = run_weight_distribution_study(
-            spec, [(1.0, 1.0), (5.0, 1.0)], [0.0], bins=4, dev_steps=5
+        spec = SweepSpec(
+            base=tiny_base(len_adev=5), axes={"beta": [0.0]}, trials=1, workers=workers
         )
+        result = run_weight_distribution_study(spec, [(1.0, 1.0), (5.0, 1.0)], bins=4)
         (records,) = job_records
         reference = weight_tables(records)
         assert len(reference["snapshots"]) == 2 * 5 * 4
         for name in ("snapshots", "final_hist"):
             assert_same_rows(result.tables[name][1], reference[name])
-        assert all("snapshots" not in rec for rec in result.records)
+        assert_records_hold_no_arrays(result)
         assert_pickles(result)
 
     def test_mc_curve(self, workers, job_records):
@@ -127,7 +139,7 @@ class TestTablesMatchPerRowReference:
         (records,) = job_records
         key_columns = ["node_index", "lam", "spectral_target", "trial"]
         assert_same_rows(result.tables["mc_curve"][1], mc_curve_table(records, key_columns))
-        assert all("mc_curve" not in rec for rec in result.records)
+        assert_records_hold_no_arrays(result)
         assert_pickles(result)
 
     def test_predictions(self, workers, job_records):
@@ -137,6 +149,7 @@ class TestTablesMatchPerRowReference:
         rows = result.tables["predictions"][1]
         assert_same_rows(rows, predictions_table(records[0]))
         assert len(rows) == spec.base.len_test
+        assert_records_hold_no_arrays(result)
         assert_pickles(result)
 
 
@@ -174,13 +187,16 @@ class TestBlockRows:
 def test_weight_study_keeps_under_40_bytes_per_snapshot_row():
     # 2 jobs x 300 development steps x 50 bins = 30,000 snapshot rows; a
     # dict per row holds about 200 bytes each.
-    spec = SweepSpec(base=tiny_base(n=30), axes={"beta": [0.0]}, trials=1)
-    args = (spec, [(1.0, 1.0), (5.0, 1.0)], [0.0])
-    run_weight_distribution_study(*args, bins=50, dev_steps=2)  # warm caches
+    def spec(dev_steps):
+        base = tiny_base(n=30, len_adev=dev_steps, len_train=400)
+        return SweepSpec(base=base, axes={"beta": [0.0]}, trials=1)
+
+    inits = [(1.0, 1.0), (5.0, 1.0)]
+    run_weight_distribution_study(spec(2), inits, bins=50)  # warm caches
     gc.collect()
     tracemalloc.start()
     try:
-        result = run_weight_distribution_study(*args, bins=50, dev_steps=300)
+        result = run_weight_distribution_study(spec(300), inits, bins=50)
         gc.collect()
         holding, _ = tracemalloc.get_traced_memory()
         rows = len(result.tables["snapshots"][1])
