@@ -87,6 +87,8 @@ class SweepSpec:
                 raise ValueError(f"axis {name!r} has no values")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
     def cells(self) -> list[dict]:
         names = list(self.axes.keys())
@@ -303,7 +305,16 @@ def _trial_records(spec: SweepSpec, fn, cells: list, values, **extra) -> list[di
     (master seed, seed index, trial) that any further seed stream of the
     job derives from. A record is the key, the trial, both seeds, then the
     job's outcome; the value columns of a faulted job are NaN.
+
+    Every cell key must hold every axis of the spec, at one of its values.
     """
+    for _, key in cells:
+        unread = [name for name in spec.axes if name not in key]
+        if unread:
+            raise ValueError(f"axes the study does not read: {', '.join(unread)}")
+        for name, axis in spec.axes.items():
+            if key[name] not in axis:
+                raise ValueError(f"cell {name} {key[name]!r} outside its axis")
     payloads = []
     keys = []
     for index, key in cells:
@@ -410,13 +421,9 @@ def run_mc_study(
 
     Each node develops on the task, then the frozen network is probed with
     fresh uniform input. The per-delay curves land in the ``mc_curve``
-    table of the result.
+    table of the result. A node outside the spec's ``lam`` or
+    ``spectral_target`` axis raises ValueError.
     """
-    for lam, rho in sample_nodes:
-        if "lam" in spec.axes and lam not in spec.axes["lam"]:
-            raise ValueError(f"node coupling strength {lam} outside the swept grid")
-        if "spectral_target" in spec.axes and rho not in spec.axes["spectral_target"]:
-            raise ValueError(f"node spectral target {rho} outside the swept grid")
     group = ["node_index", "lam", "spectral_target"]
     key_columns = group + ["trial"]
     values = (*_PIPELINE_VALUES, "mc_total")

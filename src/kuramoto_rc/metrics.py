@@ -1,5 +1,5 @@
-"""Scalar evaluation: prediction error, short-term memory capacity,
-coupling-matrix distances, and weight-distribution statistics."""
+"""Scalar evaluation: short-term memory capacity, coupling-matrix
+distances, and weight-distribution statistics."""
 
 from __future__ import annotations
 
@@ -32,16 +32,6 @@ class BetaFit:
 
     a: float
     b: float
-    sample_size: int
-
-
-def mse(targets: np.ndarray, predictions: np.ndarray) -> float:
-    """Mean squared error between two equally long sequences."""
-    targets = np.asarray(targets, dtype=float)
-    predictions = np.asarray(predictions, dtype=float)
-    if targets.shape != predictions.shape or targets.size == 0:
-        raise ValueError("sequences must be nonempty and equally long")
-    return float(np.mean((targets - predictions) ** 2))
 
 
 def squared_correlation(x: np.ndarray, y: np.ndarray) -> float:
@@ -155,7 +145,7 @@ def beta_fit(weights: np.ndarray) -> BetaFit:
     if v >= m * (1.0 - m):
         raise ValueError("moment fit infeasible: variance too large for mean")
     common = m * (1.0 - m) / v - 1.0
-    return BetaFit(a=m * common, b=(1.0 - m) * common, sample_size=w.size)
+    return BetaFit(a=m * common, b=(1.0 - m) * common)
 
 
 def weight_histogram(

@@ -10,8 +10,9 @@ ahead from each new state.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
@@ -71,6 +72,9 @@ class ReservoirConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not 0.0 <= self.density <= 1.0:
@@ -133,10 +137,6 @@ class StateTrace:
         if self.states.shape[0] != self.targets.shape[0]:
             raise ValueError("trace rows must match target count")
 
-    @property
-    def rows(self) -> int:
-        return self.states.shape[0]
-
 
 @dataclass
 class Readout:
@@ -146,10 +146,6 @@ class Readout:
     use_bias: bool = False
     use_trig_features: bool = False
     center_phases: bool = False
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[0]
 
 
 @dataclass

@@ -57,7 +57,7 @@ class MackeyGlassParams:
 
 @dataclass
 class MsoParams:
-    """Sinusoid count and frequencies for the superposition task."""
+    """Frequencies of the superposition task's sinusoids."""
 
     frequencies: tuple[float, ...] = MSO12_FREQUENCIES
 
@@ -67,10 +67,6 @@ class MsoParams:
             raise ValueError("at least one frequency is required")
         if any(f <= 0 for f in self.frequencies):
             raise ValueError("frequencies must be strictly positive")
-
-    @property
-    def m(self) -> int:
-        return len(self.frequencies)
 
 
 def gen_narma10(

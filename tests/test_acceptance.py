@@ -4,8 +4,7 @@ line (run with ``pytest -s tests/test_acceptance.py`` to see every line).
 Criteria 1 and 6, plus the mirror-symmetry clause of criterion 5, encode
 quantitative anchors that the implemented dynamics do not reproduce; they
 are asserted at their stated tolerances regardless and fail honestly. The
-analysis of why they cannot pass lives outside the package in the project
-notes.
+README paragraph under "Install and test" says why they cannot pass.
 """
 
 import math

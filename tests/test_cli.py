@@ -549,6 +549,14 @@ class TestMain:
         assert code == 1
         assert "seed" in capsys.readouterr().err
 
+    def test_non_finite_lambda_is_an_input_error(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        code = main(["run", "--lambda", "nan", "--outdir", str(outdir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lam must be finite" in err
+        assert not outdir.exists()
+
     def test_k_max_above_the_washout_fails_before_any_job(
         self, tmp_path, capsys, monkeypatch
     ):

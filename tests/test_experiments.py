@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="trials"):
             SweepSpec(base=tiny_base(), axes={"lam": [1.0]}, trials=0)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_nonpositive_workers(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            SweepSpec(base=tiny_base(), axes={"lam": [1.0]}, workers=workers)
+
     def test_cells_cartesian_order(self):
         spec = SweepSpec(
             base=tiny_base(),
@@ -104,8 +111,6 @@ class TestGridSweep:
         )
         result = run_grid_sweep(spec)
         record = result.records[0]
-        from dataclasses import replace
-
         cfg = replace(tiny_base(), lam=2.0, seed=derive_seed(77, _NET_STREAM, 0, 0))
         data = make_task(
             "narma10",
@@ -304,6 +309,14 @@ class TestSparsitySweep:
         with pytest.raises(ValueError, match="density"):
             run_sparsity_sweep(spec)
 
+    def test_adaptive_axis_is_outside_the_paired_cells(self):
+        # The study runs every density both adaptive and frozen.
+        spec = SweepSpec(
+            base=tiny_base(), axes={"density": [0.2], "adaptive": [True]}, trials=1
+        )
+        with pytest.raises(ValueError, match="outside"):
+            run_sparsity_sweep(spec)
+
 
 class TestAstringency:
     def test_distance_columns_and_counts(self):
@@ -427,6 +440,30 @@ class TestWeightDistributionStudy:
             run_weight_distribution_study(spec, [(1.0, 1.0)])
 
 
+# Studies that choose their own cells, each with the axes it reads.
+OWN_CELL_STUDIES = {
+    "mc": (
+        lambda spec: run_mc_study(spec, [(2.0, 0.4)], k_max=5),
+        {"lam": [2.0], "spectral_target": [0.4]},
+    ),
+    "sparsity": (run_sparsity_sweep, {"density": [0.2]}),
+    "astringency": (run_astringency, {"density": [0.2]}),
+    "weights": (
+        lambda spec: run_weight_distribution_study(spec, [(1.0, 1.0)], bins=5),
+        {"beta": [0.0]},
+    ),
+}
+
+
+@pytest.mark.parametrize("study", list(OWN_CELL_STUDIES))
+def test_unread_axis_is_rejected_by_name(study):
+    run, axes = OWN_CELL_STUDIES[study]
+    spec = SweepSpec(base=tiny_base(), axes={**axes, "epsilon": [0.2]}, trials=2)
+    with pytest.raises(ValueError, match="epsilon") as excinfo:
+        run(spec)
+    assert not any(name in str(excinfo.value) for name in axes)
+
+
 def diverging_base():
     # At lam = 1e308 the phases of this network overflow during development.
     return ReservoirConfig(
@@ -491,10 +528,11 @@ class TestFaultIsolation:
 
     def test_pipeline_studies_record_faults(self):
         spec = SweepSpec(base=diverging_base(), axes={"density": [0.3]}, trials=1)
+        mc_spec = replace(spec, axes={"lam": [1e308], "spectral_target": [2.0]})
         for result in (
             run_grid_sweep(spec),
             run_sparsity_sweep(spec),
-            run_mc_study(spec, [(1e308, 2.0)], k_max=5),
+            run_mc_study(mc_spec, [(1e308, 2.0)], k_max=5),
         ):
             assert result.n_faults == len(result.records) >= 1
             for rec in result.records:

@@ -5,42 +5,11 @@ from kuramoto_rc.metrics import (
     beta_fit,
     matrix_distance,
     memory_capacity,
-    mse,
     squared_correlation,
     weight_histogram,
 )
 from kuramoto_rc.reservoir import ReservoirConfig, run_pipeline
 from kuramoto_rc.tasks import gen_narma10
-
-
-class TestMse:
-    def test_identical_is_zero(self):
-        x = np.array([0.3, -1.2, 4.0])
-        assert mse(x, x) == 0.0
-
-    def test_hand_value(self):
-        assert mse([1.0, 2.0], [0.0, 0.0]) == pytest.approx(2.5)
-
-    def test_quadratic_scaling(self):
-        rng = np.random.default_rng(0)
-        y = rng.standard_normal(40)
-        p = rng.standard_normal(40)
-        assert mse(3.0 * y, 3.0 * p) == pytest.approx(9.0 * mse(y, p), rel=1e-12)
-
-    def test_mismatch_faults(self):
-        with pytest.raises(ValueError):
-            mse([1.0, 2.0], [1.0])
-        with pytest.raises(ValueError):
-            mse([], [])
-
-    def test_nonnegative_and_zero_iff_equal(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            y = rng.standard_normal(10)
-            p = rng.standard_normal(10)
-            value = mse(y, p)
-            assert value >= 0.0
-            assert (value == 0.0) == bool(np.array_equal(y, p))
 
 
 class TestSquaredCorrelation:
@@ -194,10 +163,6 @@ class TestBetaFit:
     def test_small_sample_faults(self):
         with pytest.raises(ValueError, match="10"):
             beta_fit(np.linspace(-0.5, 0.5, 9))
-
-    def test_records_sample_size(self):
-        fit = beta_fit(np.random.default_rng(1).uniform(-0.9, 0.9, 500))
-        assert fit.sample_size == 500
 
 
 class TestWeightHistogram:

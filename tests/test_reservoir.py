@@ -60,6 +60,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             ReservoirConfig(ridge_alpha=-1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "density",
+            "spectral_target",
+            "lam",
+            "beta",
+            "epsilon",
+            "dt",
+            "frequency_scale",
+            "ridge_alpha",
+        ],
+    )
+    def test_non_finite_float_is_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ReservoirConfig(**{name: value})
+
 
 class TestDrive:
     def test_rows_are_successive_phase_steps(self):
@@ -103,13 +121,13 @@ class TestDevelopAndCollect:
         cfg = small_cfg()
         data = gen_narma10(cfg.len_train, seed=2)
         _, trace = develop_and_collect(cfg, data)
-        assert trace.rows == cfg.len_train - cfg.len_adev + 1
+        assert trace.states.shape[0] == cfg.len_train - cfg.len_adev + 1
 
     def test_row_count_extra_mode(self):
         cfg = small_cfg(extra_train_after_dev=True)
         data = gen_narma10(cfg.len_adev + cfg.len_train, seed=2)
         _, trace = develop_and_collect(cfg, data)
-        assert trace.rows == cfg.len_train
+        assert trace.states.shape[0] == cfg.len_train
 
     def test_states_are_wrapped_phases(self):
         cfg = small_cfg()
@@ -239,7 +257,7 @@ class TestTrainReadout:
             use_trig_features=True,
             center_phases=True,
         )
-        assert readout.n_features == 9
+        assert readout.weights.shape == (9,)
         assert readout.use_bias and readout.use_trig_features
         assert readout.center_phases
 
@@ -364,7 +382,7 @@ class TestRunPipeline:
             result.trace.states, cfg.use_bias, cfg.use_trig_features, cfg.center_phases
         )
         residual = feats @ result.readout.weights - result.trace.targets
-        assert result.trace.rows == cfg.len_train - cfg.len_adev + 1
+        assert result.trace.states.shape[0] == cfg.len_train - cfg.len_adev + 1
         assert result.train_mse == pytest.approx(np.mean(residual**2), rel=1e-9)
 
     def test_insufficient_data(self):
@@ -382,7 +400,7 @@ class TestRunPipeline:
         cfg = small_cfg(extra_train_after_dev=True)
         data = gen_narma10(cfg.len_adev + cfg.len_train + cfg.len_test, seed=11)
         result = run_pipeline(cfg, data)
-        assert result.trace.rows == cfg.len_train
+        assert result.trace.states.shape[0] == cfg.len_train
         assert np.isfinite(result.test_mse)
 
 
