@@ -15,7 +15,7 @@ data = gen_narma10(cfg.len_train + cfg.len_test, seed=1)
 
 result = run_pipeline(cfg, data)
 r, _ = order_parameter(result.dev_phases)
-variance = np.var(data.targets[cfg.len_train :])
+variance = np.var(data.targets[cfg.test_span])
 
 print(f"reservoir size          : {cfg.n} oscillators at {cfg.density:.0%} density")
 print(f"coupling strength       : {cfg.lam}, spectral target {cfg.spectral_target}")
@@ -29,6 +29,6 @@ print(f"no-skill baseline Var(y): {variance:.6f}")
 print(f"skill (MSE / Var)       : {result.test_mse / variance:.3f}")
 print()
 print("last five predictions vs targets:")
-targets = data.targets[cfg.len_train + cfg.len_test - 5 :]
+targets = data.targets[cfg.test_span][-5:]
 for pred, target in zip(result.predictions[-5:], targets):
     print(f"  {pred: .5f}   {target: .5f}")

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, make_dataclass
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -68,38 +68,6 @@ TRIAL_DEFAULTS = {
 COMMANDS = tuple(TRIAL_DEFAULTS)
 
 KEY_ALIASES = {"lambda": "lam", "rho": "spectral_target"}
-
-
-class _RunConfigMethods:
-    """Validation and derived values of a RunConfig."""
-
-    def __post_init__(self):
-        if not self.outdir:
-            self.outdir = os.environ.get(OUTDIR_ENV, "results")
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}; one of {COMMANDS}")
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be 'csv' or 'json'")
-        minima = {"trials": 1, "workers": 1, "bins": 1, "k_max": 1, "length": 2, "seed": 0}
-        for key, low in minima.items():
-            value = getattr(self, key)
-            if value is not None and value < low:
-                raise ValueError(f"{key} must be at least {low}")
-        if self.k_max > MC_WASHOUT:
-            raise ValueError(
-                f"k_max must be at most {MC_WASHOUT}, the memory-capacity washout"
-            )
-        if not self.task.startswith("file:"):
-            for key in ("column", "normalize"):
-                if getattr(self, key) is not None:
-                    raise ValueError(f"{key} applies only to file: tasks")
-
-    def reservoir_config(self) -> ReservoirConfig:
-        values = {f.name: getattr(self, f.name) for f in fields(ReservoirConfig)}
-        return ReservoirConfig(**values)
-
-    def resolved_trials(self) -> int:
-        return self.trials if self.trials is not None else TRIAL_DEFAULTS[self.command]
 
 
 def _parse_bool(text: str) -> bool:
@@ -161,6 +129,14 @@ _PAIRS = {"parse": _parse_pair_list}
 
 
 @dataclass
+class _Command:
+    """The study to run and its task, listed first."""
+
+    command: str = "run"
+    task: str = "narma10"
+
+
+@dataclass
 class _StudyOptions:
     """Study and output settings, listed after the reservoir fields. A
     ``parse`` metadata entry names the parser of an option whose type has
@@ -199,27 +175,44 @@ class _StudyOptions:
     format: str = "csv"
 
 
-def _field_specs(cls) -> list[tuple]:
-    specs = []
-    for f in fields(cls):
-        copy = field(default=f.default, default_factory=f.default_factory, metadata=f.metadata)
-        specs.append((f.name, f.type, copy))
-    return specs
+@dataclass
+class RunConfig(_StudyOptions, ReservoirConfig, _Command):
+    """Fully resolved run settings; every field has a default.
 
+    Fields are collected in reverse MRO: the command and task, every
+    ReservoirConfig field, then the study options; config.txt lists them
+    in this order. This ``__post_init__`` replaces ReservoirConfig's, so
+    the reservoir fields are validated by ``reservoir_config()`` alone,
+    which ``spectrum`` never calls.
+    """
 
-# The command and task, every ReservoirConfig field (same names and
-# defaults), then the study options; config.txt lists them in this order.
-RunConfig = make_dataclass(
-    "RunConfig",
-    [("command", str, "run"), ("task", str, "narma10")]
-    + _field_specs(ReservoirConfig)
-    + _field_specs(_StudyOptions),
-    bases=(_RunConfigMethods,),
-    namespace={
-        "__module__": __name__,
-        "__doc__": "Fully resolved run settings; every field has a default.",
-    },
-)
+    def __post_init__(self):
+        if not self.outdir:
+            self.outdir = os.environ.get(OUTDIR_ENV, "results")
+        if self.command not in COMMANDS:
+            raise ValueError(f"unknown command {self.command!r}; one of {COMMANDS}")
+        if self.format not in ("csv", "json"):
+            raise ValueError("format must be 'csv' or 'json'")
+        minima = {"trials": 1, "workers": 1, "bins": 1, "k_max": 1, "length": 2, "seed": 0}
+        for key, low in minima.items():
+            value = getattr(self, key)
+            if value is not None and value < low:
+                raise ValueError(f"{key} must be at least {low}")
+        if self.k_max > MC_WASHOUT:
+            raise ValueError(
+                f"k_max must be at most {MC_WASHOUT}, the memory-capacity washout"
+            )
+        if not self.task.startswith("file:"):
+            for key in ("column", "normalize"):
+                if getattr(self, key) is not None:
+                    raise ValueError(f"{key} applies only to file: tasks")
+
+    def reservoir_config(self) -> ReservoirConfig:
+        values = {f.name: getattr(self, f.name) for f in fields(ReservoirConfig)}
+        return ReservoirConfig(**values)
+
+    def resolved_trials(self) -> int:
+        return self.trials if self.trials is not None else TRIAL_DEFAULTS[self.command]
 
 
 _TYPE_PARSERS = {int: int, float: float, bool: _parse_bool, str: str}

@@ -352,7 +352,7 @@ def _pipeline_job(payload: dict) -> dict:
     cfg = payload["cfg"]
     data = make_task(
         payload["task"],
-        cfg.train_span + cfg.len_test,
+        cfg.test_span.stop,
         seed=payload["task_seed"],
         **payload["task_kwargs"],
     )
@@ -363,7 +363,7 @@ def _pipeline_job(payload: dict) -> dict:
     if payload.get("predictions"):
         tables["predictions"] = {
             "step": np.arange(result.predictions.size),
-            "target": data.targets[cfg.train_span :],
+            "target": data.targets[cfg.test_span],
             "prediction": result.predictions,
         }
     if "k_max" in payload:
@@ -463,7 +463,7 @@ def _develop_inputs(spec: SweepSpec, steps: int) -> np.ndarray:
     develop-only job of a study."""
     data = make_task(
         spec.task,
-        max(steps + 1, 11),
+        max(steps, 11),
         seed=derive_seed(spec.master_seed, _TASK_STREAM, 0),
         **spec.task_kwargs,
     )

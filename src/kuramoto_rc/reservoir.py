@@ -100,6 +100,12 @@ class ReservoirConfig:
             return self.len_adev + self.len_train
         return self.len_train
 
+    @property
+    def test_span(self) -> slice:
+        """The test samples of a task: the len_test that follow the
+        training span."""
+        return slice(self.train_span, self.train_span + self.len_test)
+
     def build_network(
         self, weight_init: tuple[float, float] | None = None
     ) -> OscillatorNetwork:
@@ -290,29 +296,15 @@ def train_readout(
     )
 
 
-def predict(
-    net: OscillatorNetwork,
-    readout: Readout,
-    cfg: ReservoirConfig,
-    data: TaskData,
-) -> np.ndarray:
-    """Teacher-forced one-step-ahead prediction over the test span.
+def predict(net: OscillatorNetwork, readout: Readout, inputs: np.ndarray) -> np.ndarray:
+    """Teacher-forced one-step-ahead prediction, one per input.
 
     The frozen network is driven with the true inputs, and each step emits
-    the readout applied to its new phases. The coupling never adapts here.
+    the readout applied to its new phases, built into the features the
+    readout was trained on. The coupling never adapts here.
     """
-    if (
-        readout.use_bias != cfg.use_bias
-        or readout.use_trig_features != cfg.use_trig_features
-        or readout.center_phases != cfg.center_phases
-    ):
-        raise ValueError("readout feature contract does not match config")
-    if len(data) < cfg.len_test:
-        raise ValueError(
-            f"test span needs {cfg.len_test} samples, task data provides {len(data)}"
-        )
-    states = drive(net, data.inputs[: cfg.len_test])
-    predictions = np.empty(cfg.len_test)
+    states = drive(net, inputs)
+    predictions = np.empty(len(inputs))
     for i, phases in enumerate(states):
         feats = build_features(
             phases,
@@ -332,23 +324,16 @@ def run_pipeline(cfg: ReservoirConfig, data: TaskData) -> PipelineResult:
     """
     if cfg.len_test < 1:
         raise ValueError("len_test must be at least 1 for a pipeline run")
-    train_span = cfg.train_span
-    if len(data) < train_span + cfg.len_test:
-        raise ValueError(
-            f"run needs {train_span + cfg.len_test} samples, "
-            f"task data provides {len(data)}"
-        )
-    test_data = TaskData(
-        inputs=data.inputs[train_span : train_span + cfg.len_test],
-        targets=data.targets[train_span : train_span + cfg.len_test],
-    )
+    test = cfg.test_span
+    if len(data) < test.stop:
+        raise ValueError(f"run needs {test.stop} samples, task data provides {len(data)}")
     net, trace = develop_and_collect(cfg, data)
     flags = (cfg.use_bias, cfg.use_trig_features, cfg.center_phases)
     readout = train_readout(trace.states, trace.targets, cfg.ridge_alpha, *flags)
     feats = build_features(trace.states, *flags)
     train_mse = float(np.mean((feats @ readout.weights - trace.targets) ** 2))
-    predictions = predict(net, readout, cfg, test_data)
-    test_mse = float(np.mean((predictions - test_data.targets) ** 2))
+    predictions = predict(net, readout, data.inputs[test])
+    test_mse = float(np.mean((predictions - data.targets[test]) ** 2))
     return PipelineResult(
         test_mse=test_mse,
         network=net,

@@ -253,7 +253,7 @@ def load_series(
     onto it and the transform recorded in the metadata.
     """
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     col_index = None
     start = 0

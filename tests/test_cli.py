@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kuramoto_rc import cli
+from kuramoto_rc import cli, experiments, tasks
 from kuramoto_rc.cli import (
     RunConfig,
     _format_value,
@@ -21,7 +22,9 @@ from kuramoto_rc.experiments import (
     default_rho_grid,
     run_grid_sweep,
 )
+from kuramoto_rc.metrics import matrix_distance
 from kuramoto_rc.reservoir import ReservoirConfig
+from kuramoto_rc.tasks import load_series
 
 TINY = {
     "n": "25",
@@ -616,7 +619,123 @@ class TestMain:
                 for f in faults
             )
 
+    def test_file_task_longer_than_the_run(self, tmp_path):
+        # The predictions table pairs each prediction with its test-span target.
+        path = tmp_path / "series.txt"
+        series = np.random.default_rng(3).uniform(0.0, 0.5, 400).tolist()
+        path.write_text("".join(f"{v!r}\n" for v in series))
+        flags = ["--n", "20", "--len-adev", "8", "--len-train", "100", "--len-test", "50"]
+        outdir = tmp_path / "out"
+        flags += ["--task", f"file:{path}", "--outdir", str(outdir)]
+        assert main(["run", *flags]) == 0
+        header, rows = read_csv(outdir / "table_predictions.csv")
+        assert len(rows) == 50
+        cfg = parse_config(outdir / "config.txt", {})
+        targets = load_series(path).targets[cfg.test_span]
+        column = header.index("target")
+        assert [row[column] for row in rows] == [_format_value(t) for t in targets]
+
+    def test_weights_develops_on_a_file_of_len_adev_pairs(self, tmp_path):
+        path = tmp_path / "series.txt"
+        path.write_text("".join(f"{0.01 * i!r}\n" for i in range(61)))
+        flags = ["--n", "20", "--len-adev", "60", "--weight-inits", "1,1"]
+        flags += ["--weight-betas", "0", "--bins", "8"]
+        outdir = tmp_path / "out"
+        flags += ["--task", f"file:{path}", "--outdir", str(outdir)]
+        assert main(["weights", *flags]) == 0
+        _, rows = read_csv(outdir / "table_snapshots.csv")
+        assert len(rows) == 60 * 8
+
     def test_unknown_subcommand_exits_with_usage(self, capsys):
         with pytest.raises(SystemExit):
             main(["explode"])
         assert "usage" in capsys.readouterr().err.lower()
+
+
+# Every study at tiny sizes: each command's options on top of TINY.
+STUDIES = {
+    "run": {},
+    "sweep": {"lambda_grid": "1.0,2.0", "rho_grid": "0.3", "trials": 2},
+    "mc": {"lambda_grid": "2.0", "rho_grid": "0.4", "k_max": 5, "trials": 2},
+    "sparsity": {"density_grid": "0.1,0.3", "trials": 2},
+    "astringency": {"density_grid": "0.2,0.4", "trials": 3},
+    "beta-sweep": {"beta_grid": "-0.5,0.5", "trials": 2},
+    "weights": {"weight_inits": "1,1;5,1", "weight_betas": "0.0", "bins": 8, "trials": 2},
+}
+
+
+class TestRecordsRerunAlone:
+    """Every job of every study, rerun alone with an empty task cache,
+    reproduces the cells its study wrote."""
+
+    @pytest.mark.parametrize("command", list(STUDIES))
+    def test_each_job_reproduces_its_cells(self, tmp_path, monkeypatch, command):
+        guarded = experiments._guarded
+        jobs = []
+
+        def recording(fn, payload):
+            jobs.append((fn, payload))
+            return guarded(fn, payload)
+
+        monkeypatch.setattr(experiments, "_guarded", recording)
+        args = dict(TINY, command=command, outdir=str(tmp_path), seed="7")
+        args.update({k: str(v) for k, v in STUDIES[command].items()})
+        assert dispatch(parse_config(None, args)) == 0
+        header, rows = read_csv(tmp_path / "records.csv")
+        records = [dict(zip(header, row)) for row in rows]
+
+        def rerun(fn, payload):
+            tasks._generated_task.cache_clear()
+            return guarded(fn, payload)
+
+        if command == "astringency":
+            self.check_astringency(jobs, records, rerun)
+            return
+        assert len(records) == len(jobs)
+        tables = {
+            path.stem[len("table_") :]: read_csv(path)
+            for path in tmp_path.glob("table_*.csv")
+        }
+        read = dict.fromkeys(tables, 0)
+        for (fn, payload), record in zip(jobs, records):
+            key = {**payload["key"], "trial": payload["seed_key"][2]}
+            assert {c: record[c] for c in key} == {
+                c: _format_value(v) for c, v in key.items()
+            }
+            outcome = rerun(fn, payload)
+            job_tables = outcome.pop("tables", {})
+            assert record["fault"] == outcome.pop("fault", "")
+            assert {c: record[c] for c in outcome} == {
+                c: _format_value(v) for c, v in outcome.items()
+            }
+            for name, block in job_tables.items():
+                columns, table_rows = tables[name]
+                arrays = dict(zip(block, np.broadcast_arrays(*block.values())))
+                size = next(iter(arrays.values())).size
+                block_rows = table_rows[read[name] : read[name] + size]
+                for offset, row in enumerate(block_rows):
+                    expected = [
+                        _format_value(arrays[c].item(offset)) if c in arrays else record[c]
+                        for c in columns
+                    ]
+                    assert row == expected, (name, offset)
+                read[name] += size
+        assert read == {name: len(table[1]) for name, table in tables.items()}
+
+    @staticmethod
+    def check_astringency(jobs, records, rerun):
+        # A record compares its trial's coupling with its density's trial 0.
+        by_trial = {
+            (p["key"]["density_index"], p["seed_key"][2]): (fn, p) for fn, p in jobs
+        }
+        trials = STUDIES["astringency"]["trials"]
+        assert len(records) == len(jobs) // trials * (trials - 1)
+        for record in records:
+            index, trial = int(record["density_index"]), int(record["trial"])
+            job = rerun(*by_trial[index, trial])
+            reference = rerun(*by_trial[index, 0])
+            assert record["fault"] == ""
+            stages = itertools.product(("initial", "developed"), ("signed", "absolute"))
+            for stage, mode in stages:
+                distance = matrix_distance(job[stage], reference[stage], mode)
+                assert record[f"{stage}_{mode}"] == _format_value(distance)

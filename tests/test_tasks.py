@@ -319,6 +319,16 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match=r"short\.csv.*'b'.*line 3"):
             load_series(path, column="b")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Spreadsheet exports often begin with a UTF-8 byte-order mark.
+        path = tmp_path / "series.txt"
+        path.write_bytes(b"\xef\xbb\xbf1.0\n2.0\n3.0\n")
+        data = load_series(path)
+        assert np.array_equal(data.inputs, [1.0, 2.0])
+        table = tmp_path / "table.csv"
+        table.write_bytes(b"\xef\xbb\xbft,amplitude\n0,1.5\n1,2.5\n")
+        assert np.array_equal(load_series(table, column="t").inputs, [0.0])
+
     def test_normalization_recorded(self, tmp_path):
         path = tmp_path / "series.txt"
         path.write_text("2.0\n4.0\n6.0\n")
