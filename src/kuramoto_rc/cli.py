@@ -231,7 +231,7 @@ _OPTIONAL_KEYS = {f.name for f in fields(RunConfig) if f.default is None}
 
 def _read_config_file(path) -> dict[str, str]:
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

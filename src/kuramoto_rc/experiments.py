@@ -460,10 +460,12 @@ def run_sparsity_sweep(spec: SweepSpec) -> ExperimentResult:
 
 def _develop_inputs(spec: SweepSpec, steps: int) -> np.ndarray:
     """The first ``steps`` inputs of the spec's task, shared by every
-    develop-only job of a study."""
+    develop-only job of a study. A generator is asked for at least the 11
+    samples NARMA10 needs, which leaves its prefix unchanged; a file task
+    only for the steps."""
     data = make_task(
         spec.task,
-        max(steps, 11),
+        steps if spec.task.startswith("file:") else max(steps, 11),
         seed=derive_seed(spec.master_seed, _TASK_STREAM, 0),
         **spec.task_kwargs,
     )

@@ -10,9 +10,12 @@ import numpy as np
 from .network import OscillatorNetwork
 from .reservoir import ReservoirConfig, build_features, drive, solve_ridge
 
-# Input steps memory_capacity discards before it collects states, by
-# default; no delay may reach further back than the washout.
+# The memory-capacity probe: input steps discarded before states are
+# collected (no delay may reach further back), states collected, and the
+# collected rows the readouts train on; the rest score them.
 MC_WASHOUT = 100
+MC_COLLECT = 600
+MC_TRAIN = 420
 
 
 @dataclass
@@ -59,45 +62,41 @@ def memory_capacity(
     developed_net: OscillatorNetwork,
     k_max: int = 100,
     seed: int = 0,
-    washout: int = MC_WASHOUT,
-    collect: int = 600,
-    train_fraction: float = 0.7,
 ) -> McCurve:
     """Short-term memory capacity of a frozen network.
 
-    The network is driven by fresh uniform input on [-0.5, 0.5]; after a
-    washout the states are collected, one ridge readout per delay k is
-    trained on the first ``train_fraction`` of the rows to reproduce the
-    input delayed by k, and the squared correlation between readout and
-    delayed input on the held-out remainder gives MC_k. The total capacity
-    is the sum over k = 1..k_max. The coupling matrix never adapts here.
+    The network is driven by fresh uniform input on [-0.5, 0.5] drawn from
+    ``seed``: MC_WASHOUT = 100 steps are discarded, the next MC_COLLECT =
+    600 states are collected, and one ridge readout per delay k (under the
+    feature flags and ridge alpha of ``cfg``) is trained on the first
+    MC_TRAIN = 420 rows to reproduce the input delayed by k. The squared
+    correlation between readout and delayed input on the other 180 rows
+    gives MC_k, and the total capacity is the sum over k = 1..k_max, with
+    k_max <= MC_WASHOUT. The coupling matrix never adapts here.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    if washout < k_max:
+    if k_max > MC_WASHOUT:
         raise ValueError("washout must cover the largest delay")
     net = developed_net.copy()
     rng = np.random.default_rng(seed)
-    total = washout + collect
+    total = MC_WASHOUT + MC_COLLECT
     s = rng.uniform(-0.5, 0.5, total)
-    drive(net, s[:washout])
-    states = drive(net, s[washout:])
-    feats = build_features(
-        states, cfg.use_bias, cfg.use_trig_features, cfg.center_phases
-    )
+    drive(net, s[:MC_WASHOUT])
+    states = drive(net, s[MC_WASHOUT:])
+    feats = build_features(states, cfg)
 
-    n_train = int(round(collect * train_fraction))
-    if not 0 < n_train < collect:
-        raise ValueError("train fraction leaves no training or evaluation rows")
-    X_train, X_eval = feats[:n_train], feats[n_train:]
+    X_train, X_eval = feats[:MC_TRAIN], feats[MC_TRAIN:]
 
     # All delays share the same state matrix: one factorization, k_max
     # right-hand sides. Delayed targets index back into the washout span.
-    targets = np.column_stack([s[washout - k : total - k] for k in range(1, k_max + 1)])
-    outputs = X_eval @ solve_ridge(X_train, targets[:n_train], cfg.ridge_alpha)
+    targets = np.column_stack(
+        [s[MC_WASHOUT - k : total - k] for k in range(1, k_max + 1)]
+    )
+    outputs = X_eval @ solve_ridge(X_train, targets[:MC_TRAIN], cfg.ridge_alpha)
     coefficients = np.array(
         [
-            squared_correlation(targets[n_train:, k], outputs[:, k])
+            squared_correlation(targets[MC_TRAIN:, k], outputs[:, k])
             for k in range(k_max)
         ]
     )

@@ -146,12 +146,13 @@ class StateTrace:
 
 @dataclass
 class Readout:
-    """Trained output weights plus the feature contract they expect."""
+    """Trained output weights plus the feature contract they expect; made
+    by ``train_readout``, the one place its flags are set."""
 
     weights: np.ndarray
-    use_bias: bool = False
-    use_trig_features: bool = False
-    center_phases: bool = False
+    use_bias: bool
+    use_trig_features: bool
+    center_phases: bool
 
 
 @dataclass
@@ -171,27 +172,26 @@ class PipelineResult:
 
 
 def build_features(
-    states: np.ndarray,
-    use_bias: bool = False,
-    use_trig: bool = False,
-    center: bool = False,
+    states: np.ndarray, contract: ReservoirConfig | Readout
 ) -> np.ndarray:
-    """Map raw phase rows to readout features.
+    """Map raw phase rows to readout features under the feature flags of
+    ``contract``, the run config or the readout that owns them.
 
-    Raw phases by default; with ``use_trig`` each phase column is replaced
-    by its sine and cosine; ``use_bias`` appends a constant-one column.
-    ``center`` (trig contract only) subtracts each row's mean phase angle
-    first. The dynamics are invariant under a common phase shift, so the
-    mean phase integrates the input without fading; centering removes that
-    non-stationary mode from the features.
+    Raw phases by default; with ``use_trig_features`` each phase column is
+    replaced by its sine and cosine; ``use_bias`` appends a constant-one
+    column. ``center_phases`` (trig contract only) subtracts each row's
+    mean phase angle first. The dynamics are invariant under a common phase
+    shift, so the mean phase integrates the input without fading; centering
+    removes that non-stationary mode from the features.
 
     The mean angle is the circular mean m = atan2(mean sin, mean cos), and
     the centred features come from one sine and one cosine pass through
     the difference identities sin(theta - m) = sin theta cos m -
     cos theta sin m and cos(theta - m) = cos theta cos m + sin theta sin m.
     """
+    use_bias = contract.use_bias
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    if not use_trig:
+    if not contract.use_trig_features:
         parts = [states, np.ones((states.shape[0], 1))] if use_bias else [states]
         return np.hstack(parts)
     rows, n = states.shape
@@ -199,7 +199,7 @@ def build_features(
     sines, cosines = out[:, :n], out[:, n : 2 * n]
     np.sin(states, out=sines)
     np.cos(states, out=cosines)
-    if center:
+    if contract.center_phases:
         # atan2 of the row sums: the same angle as of the row means.
         mean_angle = np.arctan2(
             sines.sum(axis=1, keepdims=True), cosines.sum(axis=1, keepdims=True)
@@ -285,15 +285,12 @@ def train_readout(
     """Fit readout weights by ridge regression (``solve_ridge``) on the
     features of a state matrix, one row per target."""
     y = np.asarray(targets, dtype=float)
-    X = build_features(states, use_bias, use_trig_features, center_phases)
+    readout = Readout(None, use_bias, use_trig_features, center_phases)
+    X = build_features(states, readout)
     if X.shape[0] != y.shape[0] or y.shape[0] < 1:
         raise ValueError("trace rows and targets must match and be nonempty")
-    return Readout(
-        weights=solve_ridge(X, y, alpha),
-        use_bias=use_bias,
-        use_trig_features=use_trig_features,
-        center_phases=center_phases,
-    )
+    readout.weights = solve_ridge(X, y, alpha)
+    return readout
 
 
 def predict(net: OscillatorNetwork, readout: Readout, inputs: np.ndarray) -> np.ndarray:
@@ -306,12 +303,7 @@ def predict(net: OscillatorNetwork, readout: Readout, inputs: np.ndarray) -> np.
     states = drive(net, inputs)
     predictions = np.empty(len(inputs))
     for i, phases in enumerate(states):
-        feats = build_features(
-            phases,
-            readout.use_bias,
-            readout.use_trig_features,
-            readout.center_phases,
-        )
+        feats = build_features(phases, readout)
         predictions[i] = float(feats[0] @ readout.weights)
     return predictions
 
@@ -330,7 +322,7 @@ def run_pipeline(cfg: ReservoirConfig, data: TaskData) -> PipelineResult:
     net, trace = develop_and_collect(cfg, data)
     flags = (cfg.use_bias, cfg.use_trig_features, cfg.center_phases)
     readout = train_readout(trace.states, trace.targets, cfg.ridge_alpha, *flags)
-    feats = build_features(trace.states, *flags)
+    feats = build_features(trace.states, readout)
     train_mse = float(np.mean((feats @ readout.weights - trace.targets) ** 2))
     predictions = predict(net, readout, data.inputs[test])
     test_mse = float(np.mean((predictions - data.targets[test]) ** 2))

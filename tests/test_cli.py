@@ -75,6 +75,12 @@ class TestParseConfig:
         assert cfg.lam == 3.5
         assert cfg.seed == 9
 
+    def test_file_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfn = 25\nseed = 9\n")
+        cfg = parse_config(path, {})
+        assert (cfg.n, cfg.seed) == (25, 9)
+
     def test_unknown_key_named(self):
         with pytest.raises(ValueError, match="lamda"):
             parse_config(None, {"lamda": "4.0"})
@@ -645,6 +651,27 @@ class TestMain:
         assert main(["weights", *flags]) == 0
         _, rows = read_csv(outdir / "table_snapshots.csv")
         assert len(rows) == 60 * 8
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("weights", ["--density", "0.5", "--weight-inits", "1,1"]),
+            ("astringency", ["--len-train", "6", "--density-grid", "0.3"]),
+        ],
+    )
+    def test_develop_only_study_on_a_file_of_fewer_than_11_pairs(
+        self, tmp_path, command, flags
+    ):
+        # Nine values make eight pairs, enough for five development steps.
+        path = tmp_path / "series.txt"
+        path.write_text("".join(f"{0.1 * i!r}\n" for i in (1, 5, 2, 9, 3, 7, 4, 8, 6)))
+        flags = ["--n", "10", "--len-adev", "5", *flags, "--weight-betas", "0"]
+        flags += ["--bins", "4", "--trials", "2", "--task", f"file:{path}"]
+        outdir = tmp_path / "out"
+        assert main([command, *flags, "--outdir", str(outdir)]) == 0
+        if command == "weights":
+            _, rows = read_csv(outdir / "table_snapshots.csv")
+            assert len(rows) == 2 * 5 * 4
 
     def test_unknown_subcommand_exits_with_usage(self, capsys):
         with pytest.raises(SystemExit):

@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 
 from kuramoto_rc.metrics import (
+    MC_WASHOUT,
     beta_fit,
     matrix_distance,
     memory_capacity,
     squared_correlation,
     weight_histogram,
 )
-from kuramoto_rc.reservoir import ReservoirConfig, run_pipeline
+from kuramoto_rc.reservoir import (
+    ReservoirConfig,
+    build_features,
+    drive,
+    run_pipeline,
+    solve_ridge,
+)
 from kuramoto_rc.tasks import gen_narma10
 
 
@@ -55,7 +62,7 @@ def developed_default():
 class TestMemoryCapacity:
     def test_bounds(self, developed_default):
         cfg, net = developed_default
-        curve = memory_capacity(cfg, net, k_max=20, seed=1, collect=300)
+        curve = memory_capacity(cfg, net, k_max=20, seed=1)
         assert curve.coefficients.shape == (20,)
         assert np.all(curve.coefficients >= 0.0)
         assert np.all(curve.coefficients <= 1.0)
@@ -63,8 +70,8 @@ class TestMemoryCapacity:
 
     def test_prefix_sum_property(self, developed_default):
         cfg, net = developed_default
-        long = memory_capacity(cfg, net, k_max=15, seed=2, collect=300)
-        short = memory_capacity(cfg, net, k_max=5, seed=2, collect=300)
+        long = memory_capacity(cfg, net, k_max=15, seed=2)
+        short = memory_capacity(cfg, net, k_max=5, seed=2)
         assert np.allclose(short.coefficients, long.coefficients[:5], atol=1e-9)
         assert short.total <= long.total + 1e-9
 
@@ -76,7 +83,7 @@ class TestMemoryCapacity:
     def test_coupling_frozen_during_evaluation(self, developed_default):
         cfg, net = developed_default
         before = net.coupling.copy()
-        memory_capacity(cfg, net, k_max=3, seed=4, collect=200)
+        memory_capacity(cfg, net, k_max=3, seed=4)
         assert np.array_equal(net.coupling, before)
 
     def test_validation(self, developed_default):
@@ -84,17 +91,33 @@ class TestMemoryCapacity:
         with pytest.raises(ValueError):
             memory_capacity(cfg, net, k_max=0)
         with pytest.raises(ValueError):
-            memory_capacity(cfg, net, k_max=200, washout=100)
+            memory_capacity(cfg, net, k_max=MC_WASHOUT + 1)
 
     def test_singular_readout_advises_alpha(self):
         # One oscillator: up to rounding, its centred sine vanishes and its
         # cosine repeats the bias column, so at alpha = 0 the normal
-        # equations of the default 420 training rows are singular. With 35
-        # rows the factorization succeeds through rounding at rcond 1.7e-34.
+        # equations of the 420 training rows are singular.
         cfg = ReservoirConfig(n=1, density=0.0, ridge_alpha=0.0)
-        for collect in (600, 50):
-            with pytest.raises(ValueError, match="alpha"):
-                memory_capacity(cfg, cfg.build_network(), k_max=3, collect=collect)
+        with pytest.raises(ValueError, match="alpha"):
+            memory_capacity(cfg, cfg.build_network(), k_max=3)
+
+    def test_probe_protocol(self, developed_default):
+        # 100 washout steps, 600 collected states, readouts fitted on the
+        # first 420 rows and scored on the last 180.
+        cfg, net = developed_default
+        k_max, seed = 12, 5
+        s = np.random.default_rng(seed).uniform(-0.5, 0.5, 100 + 600)
+        frozen = net.copy()
+        drive(frozen, s[:100])
+        feats = build_features(drive(frozen, s[100:]), cfg)
+        delayed = np.column_stack([s[100 - k : 700 - k] for k in range(1, k_max + 1)])
+        weights = solve_ridge(feats[:420], delayed[:420], cfg.ridge_alpha)
+        outputs = feats[420:] @ weights
+        expected = [
+            squared_correlation(delayed[420:, k], outputs[:, k]) for k in range(k_max)
+        ]
+        curve = memory_capacity(cfg, net, k_max=k_max, seed=seed)
+        assert curve.coefficients.tolist() == expected
 
 
 class TestMatrixDistance:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from kuramoto_rc.reservoir import (
     drive,
     predict,
     run_pipeline,
+    solve_ridge,
     train_readout,
 )
 from kuramoto_rc.tasks import gen_narma10
@@ -246,6 +248,17 @@ class TestTrainReadout:
         with pytest.raises(ValueError, match="alpha"):
             train_readout(X, np.arange(10.0), alpha=0.0)
 
+    def test_singular_gram_that_factorizes_through_rounding_advises_alpha(self):
+        # Two equal columns: X'X is singular in exact arithmetic, but its
+        # rounded Cholesky factor keeps a pivot of 2.6e-9, so the solve
+        # reaches scipy's ill-conditioning warning, not a failed
+        # factorization.
+        X = np.full((3, 2), 0.1)
+        scipy.linalg.cholesky(X.T @ X)
+        with pytest.raises(ValueError, match="alpha") as info:
+            solve_ridge(X, np.ones(3), alpha=0.0)
+        assert isinstance(info.value.__cause__, scipy.linalg.LinAlgWarning)
+
     def test_feature_contract_recorded(self):
         rng = np.random.default_rng(4)
         states = rng.uniform(0, 2 * np.pi, (30, 4))
@@ -385,14 +398,19 @@ class TestRunPipeline:
         assert np.isfinite(result.test_mse)
 
 
+def contract(use_bias=False, use_trig=False, center=False):
+    """The feature contract these flags name, as an untrained readout."""
+    return Readout(np.empty(0), use_bias, use_trig, center)
+
+
 class TestBuildFeatures:
     def test_raw_passthrough(self):
         states = np.array([[0.1, 0.2], [0.3, 0.4]])
-        assert np.array_equal(build_features(states), states)
+        assert np.array_equal(build_features(states, contract()), states)
 
     def test_trig_doubles_and_bias_appends(self):
         states = np.array([[0.1, 0.2]])
-        feats = build_features(states, use_bias=True, use_trig=True)
+        feats = build_features(states, contract(use_bias=True, use_trig=True))
         assert feats.shape == (1, 5)
         assert feats[0, -1] == 1.0
         assert feats[0, 0] == pytest.approx(np.sin(0.1))
@@ -402,8 +420,8 @@ class TestBuildFeatures:
         rng = np.random.default_rng(0)
         row = rng.uniform(0, 2 * np.pi, (1, 12))
         shifted = row + 1.234
-        a = build_features(row, use_trig=True, center=True)
-        b = build_features(shifted, use_trig=True, center=True)
+        a = build_features(row, contract(use_trig=True, center=True))
+        b = build_features(shifted, contract(use_trig=True, center=True))
         assert np.allclose(a, b, atol=1e-10)
 
 
@@ -438,7 +456,7 @@ class TestFeatureKernel:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(states=phase_rows(), use_bias=st.booleans())
     def test_centred_features_match_the_reference(self, states, use_bias):
-        fast = build_features(states, use_bias, use_trig=True, center=True)
+        fast = build_features(states, contract(use_bias, use_trig=True, center=True))
         slow = reference_build_features(states, use_bias, use_trig=True, center=True)
         assert fast.shape == slow.shape
         r = np.array([order_parameter(row)[0] for row in states])
@@ -449,7 +467,7 @@ class TestFeatureKernel:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(states=phase_rows(), use_bias=st.booleans(), use_trig=st.booleans())
     def test_raw_and_uncentred_features_are_exact(self, states, use_bias, use_trig):
-        fast = build_features(states, use_bias, use_trig)
+        fast = build_features(states, contract(use_bias, use_trig))
         assert np.array_equal(fast, reference_build_features(states, use_bias, use_trig))
         assert fast is not states
 
@@ -458,13 +476,14 @@ class TestFeatureKernel:
     def test_common_shift_cancels_from_centred_features(self, states, shift):
         r = np.array([order_parameter(row)[0] for row in states])
         ordered = r >= 1e-2
-        a = build_features(states, use_trig=True, center=True)
-        b = build_features(np.mod(states + shift, TWO_PI), use_trig=True, center=True)
+        centred = contract(use_trig=True, center=True)
+        a = build_features(states, centred)
+        b = build_features(np.mod(states + shift, TWO_PI), centred)
         assert np.abs(a - b)[ordered].max(initial=0.0) <= 1e-12
 
     def test_one_dimensional_row(self):
         row = np.random.default_rng(3).uniform(0.0, TWO_PI, 9)
         assert np.array_equal(
-            build_features(row, True, True, True),
-            build_features(row[None, :], True, True, True),
+            build_features(row, contract(True, True, True)),
+            build_features(row[None, :], contract(True, True, True)),
         )
