@@ -327,10 +327,10 @@ def write_result(
     """Write the records, aggregates, extra tables, and resolved config.
 
     Aggregates are recomputed from the records and must match what the
-    study stored; a mismatch is a bug and faults the write. A table whose
-    rows offer ``cells`` is written from those formatted cells, a block
-    and a column at a time with no row dicts; other rows one dict at a
-    time. Returns the list of files written.
+    study stored; a mismatch is a bug and faults the write. Both formats
+    read each table through ``_table_cells``, so a table of blocks is
+    written a block at a time with no row dicts. Returns the list of files
+    written.
     """
     recomputed = result.recompute_aggregates()
     # Compared by repr, so that the NaN statistics of a fully faulted cell
@@ -343,14 +343,10 @@ def write_result(
 
     def write_csv(name: str, columns: list[str], rows: Sequence[dict]):
         path = out / name
-        if hasattr(rows, "cells"):
-            cells = rows.cells(columns, _format_value)
-        else:
-            cells = ([_format_value(row.get(c)) for c in columns] for row in rows)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            writer.writerows(cells)
+            writer.writerows(_table_cells(columns, rows, _format_value))
         written.append(str(path))
 
     if fmt == "csv":
@@ -359,17 +355,13 @@ def write_result(
         for name, (columns, rows) in result.tables.items():
             write_csv(f"table_{name}.csv", columns, rows)
     else:
-
-        def encode(columns: list[str], rows: list[dict]) -> list[dict]:
-            return [{c: _json_value(row.get(c)) for c in columns} for row in rows]
-
         payload = {
             "columns": result.columns,
-            "records": encode(result.columns, result.records),
+            "records": _JsonRows(result.columns, result.records),
             "aggregate_columns": result.aggregate_columns,
-            "aggregates": encode(result.aggregate_columns, result.aggregates),
+            "aggregates": _JsonRows(result.aggregate_columns, result.aggregates),
             "tables": {
-                name: {"columns": columns, "rows": encode(columns, rows)}
+                name: {"columns": columns, "rows": _JsonRows(columns, rows)}
                 for name, (columns, rows) in result.tables.items()
             },
         }
@@ -385,6 +377,34 @@ def write_result(
             fh.write(f"{f.name} = {_format_config_value(getattr(config, f.name))}\n")
     written.append(str(config_path))
     return written
+
+
+def _table_cells(columns: list[str], rows: Sequence[dict], fmt):
+    """Each row's ``fmt(row.get(c))`` for every column, in row order: from
+    the rows' own ``cells`` when they offer them, else a row at a time."""
+    if hasattr(rows, "cells"):
+        return rows.cells(columns, fmt)
+    return ([fmt(row.get(c)) for c in columns] for row in rows)
+
+
+class _JsonRows(list):
+    """A table's rows as JSON-ready dicts, one made at a time as it is read.
+
+    ``json.dump`` encodes through the pure-Python encoder, which tests a
+    list's emptiness by its length and reads its items by iterating, so
+    this list writes the bytes of the full row list without holding it.
+    """
+
+    def __init__(self, columns: list[str], rows: Sequence[dict]):
+        super().__init__()
+        self.columns, self.rows = columns, rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        for cells in _table_cells(self.columns, self.rows, _json_value):
+            yield dict(zip(self.columns, cells))
 
 
 def _json_value(value):

@@ -23,7 +23,7 @@ import numpy as np
 from .metrics import beta_fit, matrix_distance, memory_capacity, weight_histogram
 from .network import develop, order_parameter, reinitialize_weights
 from .reservoir import ReservoirConfig, run_pipeline
-from .tasks import make_task, spectrum
+from .tasks import make_task, release_generated_tasks, spectrum
 
 # Seed-stream tags; fixed so derived seeds never change between versions.
 _TASK_STREAM = 1
@@ -129,6 +129,8 @@ class _BlockRows(Sequence):
                 yield row
 
     def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[operator.index(index)]  # IndexError past either end
         b = bisect.bisect_right(self._ends, i)
         key, cols = self._blocks[b]
@@ -304,7 +306,8 @@ def _trial_records(spec: SweepSpec, fn, cells: list, values, **extra) -> list[di
     payload carries that config, the key, ``extra`` and the ``seed_key``
     (master seed, seed index, trial) that any further seed stream of the
     job derives from. A record is the key, the trial, both seeds, then the
-    job's outcome; the value columns of a faulted job are NaN.
+    job's outcome; the value columns of a faulted job are NaN. When the jobs
+    are done, the generated tasks they shared are released.
 
     Every cell key must hold every axis of the spec, at one of its values.
     """
@@ -335,15 +338,19 @@ def _trial_records(spec: SweepSpec, fn, cells: list, values, **extra) -> list[di
             )
             keys.append({**key, "trial": t, "net_seed": net_seed, "task_seed": task_seed})
     job = functools.partial(_guarded, fn)
-    if spec.workers > 1 and len(payloads) > 1:
-        # One job at a time: job costs vary several-fold across cells, and
-        # chunks leave a worker idle at the end. A fork pool starts all its
-        # workers at once, so it gets no more than there are jobs.
-        workers = min(spec.workers, len(payloads))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, payloads))
-    else:
-        outcomes = [job(p) for p in payloads]
+    try:
+        if spec.workers > 1 and len(payloads) > 1:
+            # One job at a time: job costs vary several-fold across cells,
+            # and chunks leave a worker idle at the end. A fork pool starts
+            # all its workers at once, so it gets no more than there are jobs.
+            workers = min(spec.workers, len(payloads))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(job, payloads))
+        else:
+            outcomes = [job(p) for p in payloads]
+    finally:
+        # A generated task lives for one study, here as in a pool worker.
+        release_generated_tasks()
     nan = dict.fromkeys(values, float("nan"))
     return [{**key, **nan, "fault": "", **out} for key, out in zip(keys, outcomes)]
 
@@ -479,6 +486,7 @@ def run_spectrum(
     with trial 0's task seed, one record per frequency bin."""
     seed = derive_seed(master_seed, _TASK_STREAM, 0)
     data = make_task(task, length, seed=seed, **task_kwargs)
+    release_generated_tasks()  # the one task of this study is held in data
     freqs, mags = spectrum(data.inputs[:length])
     records = [
         {"bin": i, "frequency": float(freqs[i]), "magnitude": float(mags[i]), "fault": ""}

@@ -19,6 +19,9 @@ import scipy.linalg
 
 from .network import OscillatorNetwork, develop, init_network, phase_step
 
+# Rows of trig features centred together; bounds the centring scratch.
+CENTRE_BLOCK = 256
+
 
 @dataclass
 class TaskData:
@@ -187,7 +190,8 @@ def build_features(
     The mean angle is the circular mean m = atan2(mean sin, mean cos), and
     the centred features come from one sine and one cosine pass through
     the difference identities sin(theta - m) = sin theta cos m -
-    cos theta sin m and cos(theta - m) = cos theta cos m + sin theta sin m.
+    cos theta sin m and cos(theta - m) = cos theta cos m + sin theta sin m,
+    applied CENTRE_BLOCK rows at a time.
     """
     use_bias = contract.use_bias
     states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -205,12 +209,19 @@ def build_features(
             sines.sum(axis=1, keepdims=True), cosines.sum(axis=1, keepdims=True)
         )
         cos_m, sin_m = np.cos(mean_angle), np.sin(mean_angle)
-        sin_sin_m = sines * sin_m
-        cos_sin_m = cosines * sin_m
-        sines *= cos_m
-        sines -= cos_sin_m
-        cosines *= cos_m
-        cosines += sin_sin_m
+        # Elementwise, so a block of rows at a time gives the same bytes
+        # with a scratch pair of one block instead of two full matrices.
+        scratch = np.empty((2, min(rows, CENTRE_BLOCK), n))
+        for start in range(0, rows, CENTRE_BLOCK):
+            block = slice(start, start + CENTRE_BLOCK)
+            s, c, cm, sm = sines[block], cosines[block], cos_m[block], sin_m[block]
+            sin_sin_m, cos_sin_m = scratch[:, : s.shape[0]]
+            np.multiply(s, sm, out=sin_sin_m)
+            np.multiply(c, sm, out=cos_sin_m)
+            s *= cm
+            s -= cos_sin_m
+            c *= cm
+            c += sin_sin_m
     if use_bias:
         out[:, -1] = 1.0
     return out
@@ -322,8 +333,9 @@ def run_pipeline(cfg: ReservoirConfig, data: TaskData) -> PipelineResult:
     net, trace = develop_and_collect(cfg, data)
     flags = (cfg.use_bias, cfg.use_trig_features, cfg.center_phases)
     readout = train_readout(trace.states, trace.targets, cfg.ridge_alpha, *flags)
-    feats = build_features(trace.states, readout)
-    train_mse = float(np.mean((feats @ readout.weights - trace.targets) ** 2))
+    # The training features are a temporary, freed before predict runs.
+    fitted = build_features(trace.states, readout) @ readout.weights
+    train_mse = float(np.mean((fitted - trace.targets) ** 2))
     predictions = predict(net, readout, data.inputs[test])
     test_mse = float(np.mean((predictions - data.targets[test]) ** 2))
     return PipelineResult(

@@ -321,9 +321,10 @@ def make_task(
 
     Presets: ``narma10``, ``mg17``, ``mso12``, and ``file:<path>``.
 
-    A generated preset is built once per process for each (preset, length,
+    A generated preset is built once per study for each (preset, length,
     seed): later calls share its read-only arrays, each with a fresh
-    ``meta`` dict. A ``file:`` task is read again on every call.
+    ``meta`` dict, until ``release_generated_tasks`` drops them when the
+    study's jobs are done. A ``file:`` task is read again on every call.
     """
     if preset in _GENERATED:
         # mso12 ignores its seed, so one entry serves every trial.
@@ -342,9 +343,16 @@ def make_task(
 _GENERATED = ("narma10", "mg17", "mso12")
 
 
+def release_generated_tasks() -> None:
+    """Drop every generated task ``make_task`` keeps; arrays a caller still
+    holds stay valid, and the next call generates its task again."""
+    _generated_task.cache_clear()
+
+
 # A study seeds its tasks by trial alone, and its jobs run cell by cell with
 # the trials inside, so each cell cycles through `trials` keys: the cache
-# holds more than the largest default trial count (50) to reuse them.
+# holds more than the largest default trial count (50) to reuse them. It is
+# emptied when the study ends.
 @lru_cache(maxsize=64)
 def _generated_task(preset: str, length: int, seed: int) -> TaskData:
     if preset == "narma10":

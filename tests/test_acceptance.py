@@ -9,6 +9,7 @@ README paragraph under "Install and test" says why they cannot pass.
 
 import math
 import os
+import platform
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +44,41 @@ MASTER = 20240817
 
 # The module takes minutes; `pytest -m "not acceptance"` runs everything else.
 pytestmark = pytest.mark.acceptance
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def blas_version(module) -> str:
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        return "unknown"
+
+
+@pytest.fixture(scope="module", autouse=True)
+def manifest():
+    """One line naming what the printed figures depend on besides the
+    code: the CPU, the numpy, scipy and BLAS builds and the thread
+    variables. Two runs are comparable only when their lines agree."""
+    threads = " ".join(
+        f"{name}={os.environ.get(name, 'unset')}"
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    )
+    print(
+        f"MANIFEST: cpu {cpu_model()} x{os.cpu_count()}; numpy {np.__version__} "
+        f"(BLAS {blas_version(np)}); scipy {scipy.__version__} "
+        f"(BLAS {blas_version(scipy)}); {threads}"
+    )
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> bool:

@@ -712,7 +712,7 @@ class TestRecordsRerunAlone:
         records = [dict(zip(header, row)) for row in rows]
 
         def rerun(fn, payload):
-            tasks._generated_task.cache_clear()
+            tasks.release_generated_tasks()
             return guarded(fn, payload)
 
         if command == "astringency":

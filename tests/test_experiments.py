@@ -18,7 +18,7 @@ from kuramoto_rc.experiments import (
     _NET_STREAM,
     _TASK_STREAM,
 )
-from kuramoto_rc import experiments
+from kuramoto_rc import experiments, tasks
 from kuramoto_rc.network import develop, init_network
 from kuramoto_rc.reservoir import ReservoirConfig, run_pipeline
 from kuramoto_rc.tasks import make_task
@@ -275,6 +275,57 @@ class TestMcStudy:
                 r["coefficient"] for r in rows if r["trial"] == rec["trial"]
             ]
             assert rec["mc_total"] == pytest.approx(sum(trial_rows))
+
+
+class TestTaskLifetime:
+    """A generated task is built once per study and released when the
+    study's jobs are done."""
+
+    SPEC = SweepSpec(
+        task="mg17",
+        base=tiny_base(),
+        axes={"lam": [1.0, 2.0], "spectral_target": [0.3, 0.6]},
+        trials=3,
+        master_seed=4,
+    )
+    NODES = [(1.0, 0.3), (2.0, 0.6)]
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        calls = []
+        generate = tasks.gen_mackey_glass
+
+        def counting(length, params=None, seed=0):
+            calls.append((length, seed))
+            return generate(length, params, seed)
+
+        monkeypatch.setattr(tasks, "gen_mackey_glass", counting)
+        tasks.release_generated_tasks()
+        return calls
+
+    def test_each_task_is_generated_once_per_serial_study(self, generated):
+        result = run_mc_study(self.SPEC, self.NODES, k_max=4)
+        assert len(result.records) == 6 and result.n_faults == 0
+        assert len(generated) == len(set(generated)) == 3
+        assert tasks._generated_task.cache_info().currsize == 0
+        again = run_mc_study(self.SPEC, self.NODES, k_max=4)
+        assert again.records == result.records
+        assert generated[3:] == generated[:3]  # generated again, not kept
+
+    def test_a_study_that_raises_still_releases_its_tasks(self, generated, monkeypatch):
+        guarded = experiments._guarded
+
+        def last_job_raises(fn, payload):
+            out = guarded(fn, payload)
+            if payload["seed_key"][1:] == (1, 2):
+                raise KeyboardInterrupt
+            return out
+
+        monkeypatch.setattr(experiments, "_guarded", last_job_raises)
+        with pytest.raises(KeyboardInterrupt):
+            run_mc_study(self.SPEC, self.NODES, k_max=4)
+        assert len(generated) == 3
+        assert tasks._generated_task.cache_info().currsize == 0
 
 
 class TestSparsitySweep:

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 
 from kuramoto_rc.network import TWO_PI, order_parameter, phase_step
 from kuramoto_rc.reservoir import (
+    CENTRE_BLOCK,
     ReservoirConfig,
     Readout,
     StateTrace,
@@ -487,3 +491,61 @@ class TestFeatureKernel:
             build_features(row, contract(True, True, True)),
             build_features(row[None, :], contract(True, True, True)),
         )
+
+
+def in_place_build_features(states, use_bias=False, use_trig=False, center=False):
+    """The feature map that centred the whole matrix in place with two
+    full-size temporaries; kept as the exact reference of the block one."""
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    if not use_trig:
+        parts = [states, np.ones((states.shape[0], 1))] if use_bias else [states]
+        return np.hstack(parts)
+    rows, n = states.shape
+    out = np.empty((rows, 2 * n + use_bias))
+    sines, cosines = out[:, :n], out[:, n : 2 * n]
+    np.sin(states, out=sines)
+    np.cos(states, out=cosines)
+    if center:
+        mean_angle = np.arctan2(
+            sines.sum(axis=1, keepdims=True), cosines.sum(axis=1, keepdims=True)
+        )
+        cos_m, sin_m = np.cos(mean_angle), np.sin(mean_angle)
+        sin_sin_m = sines * sin_m
+        cos_sin_m = cosines * sin_m
+        sines *= cos_m
+        sines -= cos_sin_m
+        cosines *= cos_m
+        cosines += sin_sin_m
+    if use_bias:
+        out[:, -1] = 1.0
+    return out
+
+
+class TestBlockCentring:
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 2900])
+    @pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=3)))
+    def test_matches_the_in_place_formula_exactly(self, rows, flags):
+        assert CENTRE_BLOCK == 256  # the row counts straddle a block edge
+        rng = np.random.default_rng(rows)
+        # Spread and nearly locked rows, so the mean angle varies by row.
+        spread = rng.choice([1e-3, 0.5, np.pi], size=(rows, 1))
+        states = np.mod(
+            rng.uniform(0.0, TWO_PI, (rows, 1)) + spread * rng.uniform(-1, 1, (rows, 100)),
+            TWO_PI,
+        )
+        fast = build_features(states, contract(*flags))
+        assert np.array_equal(fast, in_place_build_features(states, *flags))
+
+    def test_peak_is_the_output_plus_one_block_of_scratch(self):
+        # The full-size temporaries held about twice the output at the peak.
+        states = np.random.default_rng(1).uniform(0.0, TWO_PI, (2900, 100))
+        centred = contract(use_bias=True, use_trig=True, center=True)
+        build_features(states, centred)
+        tracemalloc.start()
+        try:
+            feats = build_features(states, centred)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert feats.nbytes == 2900 * 201 * 8
+        assert peak <= feats.nbytes + 1_000_000

@@ -175,6 +175,36 @@ class TestBlockRows:
         assert list(rows) == expected
         assert [rows[i] for i in (0, 1, 2, -1)] == [*expected, expected[-1]]
 
+    @pytest.mark.parametrize(
+        "index",
+        [
+            slice(0, 5),
+            slice(2, 4),
+            slice(3, None),
+            slice(None),
+            slice(-2, None),
+            slice(-4, -1),
+            slice(None, None, 2),
+            slice(1, None, 3),
+            slice(None, None, -1),
+            slice(-1, 0, -2),
+            slice(4, 2),
+            slice(10, 20),
+            slice(0, 0),
+        ],
+    )
+    def test_a_slice_gives_the_list_of_its_rows(self, index):
+        rows = _BlockRows(
+            [
+                ({"job": 0}, {"x": np.array([1.5, 2.5])}),
+                ({"job": 1}, {"x": np.array([])}),
+                ({"job": 2}, {"x": np.array([[3.5], [4.5], [5.5]])}),
+            ]
+        )
+        assert rows[index] == list(rows)[index]
+        assert type(rows[index]) is list
+        assert _BlockRows()[index] == []
+
     def test_unequal_rows_and_other_types(self):
         rows = _BlockRows([({}, {"x": np.array([1, 2])})])
         assert rows != [{"x": 1}]
