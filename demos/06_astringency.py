@@ -11,13 +11,13 @@ from kuramoto_rc import ReservoirConfig, SweepSpec, run_astringency
 
 spec = SweepSpec(
     task="narma10",
-    base=ReservoirConfig(),
+    base=ReservoirConfig(beta=0.0),
     axes={"density": [0.05, 0.2]},
     trials=8,
     master_seed=6,
     workers=2,
 )
-result = run_astringency(spec, beta=0.0)
+result = run_astringency(spec)
 
 for agg in result.aggregates:
     print(f"density {agg['density']}:")

@@ -54,18 +54,19 @@ TASK_DEFAULTS = {
     "file": {"len_adev": 100, "len_train": 1700, "len_test": 500, "lam": 0.5},
 }
 
-# Defaults per experiment for the per-cell trial count.
-TRIAL_DEFAULTS = {
-    "run": 1,
-    "sweep": 10,
-    "mc": 10,
-    "sparsity": 50,
-    "astringency": 50,
-    "beta-sweep": 50,
-    "weights": 1,
-    "spectrum": 1,
+# Per-command defaults, applied over the task's row: the per-cell trial
+# count, and the canonical beta = 0 of the astringency study.
+COMMAND_DEFAULTS = {
+    "run": {"trials": 1},
+    "sweep": {"trials": 10},
+    "mc": {"trials": 10},
+    "sparsity": {"trials": 50},
+    "astringency": {"trials": 50, "beta": 0.0},
+    "beta-sweep": {"trials": 50},
+    "weights": {"trials": 1},
+    "spectrum": {"trials": 1},
 }
-COMMANDS = tuple(TRIAL_DEFAULTS)
+COMMANDS = tuple(COMMAND_DEFAULTS)
 
 KEY_ALIASES = {"lambda": "lam", "rho": "spectral_target"}
 
@@ -177,7 +178,7 @@ class _StudyOptions:
 
 @dataclass
 class RunConfig(_StudyOptions, ReservoirConfig, _Command):
-    """Fully resolved run settings; every field has a default.
+    """Run settings; ``trials`` stays None until ``parse_config`` resolves it.
 
     Fields are collected in reverse MRO: the command and task, every
     ReservoirConfig field, then the study options; config.txt lists them
@@ -211,9 +212,6 @@ class RunConfig(_StudyOptions, ReservoirConfig, _Command):
         values = {f.name: getattr(self, f.name) for f in fields(ReservoirConfig)}
         return ReservoirConfig(**values)
 
-    def resolved_trials(self) -> int:
-        return self.trials if self.trials is not None else TRIAL_DEFAULTS[self.command]
-
 
 _TYPE_PARSERS = {int: int, float: float, bool: _parse_bool, str: str}
 
@@ -225,7 +223,7 @@ _PARSERS = {
     for name, hint in get_type_hints(RunConfig).items()
 }
 
-# Keys whose unset value, None, is echoed as an empty string.
+# Keys whose default is None, echoed as an empty value, which unsets one.
 _OPTIONAL_KEYS = {f.name for f in fields(RunConfig) if f.default is None}
 
 
@@ -255,9 +253,7 @@ def _canonical(entries: dict) -> dict:
 
 def _convert(key: str, value):
     if isinstance(value, str):
-        if value == "":  # echoed form of an unset optional key
-            if key in _OPTIONAL_KEYS:
-                return None
+        if value == "":
             raise ValueError(f"config key {key!r}: empty value")
         try:
             return _PARSERS[key](value)
@@ -269,13 +265,16 @@ def _convert(key: str, value):
 def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Resolve the run configuration.
 
-    Precedence is built-in defaults (including the per-task benchmark
-    rows), then the config file, then ``overrides`` (command-line flags).
-    Unknown keys raise immediately so typos never pass silently.
+    Precedence is built-in defaults (the field defaults, the task's
+    benchmark row, then the command's row), then the config file, then
+    ``overrides`` (command-line flags). Unknown keys raise immediately so
+    typos never pass silently.
     """
     file_entries = _canonical(_read_config_file(path)) if path else {}
     override_entries = _canonical(overrides or {})
     merged = {**file_entries, **override_entries}
+    # An empty value unsets an optional key, which then keeps its default.
+    merged = {k: v for k, v in merged.items() if k not in _OPTIONAL_KEYS or v != ""}
     task = merged.get("task", "narma10")
     if isinstance(task, str) and task.startswith("file:"):
         task_key = "file"
@@ -285,7 +284,8 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
         raise ValueError(
             f"unknown task {task!r}; one of narma10, mg17, mso12, file:<path>"
         )
-    settings = dict(TASK_DEFAULTS[task_key])
+    command = merged.get("command", "run")
+    settings = {**TASK_DEFAULTS[task_key], **COMMAND_DEFAULTS.get(command, {})}
     settings.update(merged)
     kwargs = {key: _convert(key, value) for key, value in settings.items()}
     return RunConfig(**kwargs)
@@ -426,15 +426,11 @@ def _sweep_spec(cfg: RunConfig, axes: dict) -> SweepSpec:
         task=cfg.task,
         base=cfg.reservoir_config(),
         axes=axes,
-        trials=cfg.resolved_trials(),
+        trials=cfg.trials,
         master_seed=cfg.seed,
         workers=cfg.workers,
         task_kwargs=_task_kwargs(cfg),
     )
-
-
-def _diagonal_nodes(cfg: RunConfig) -> list[tuple[float, float]]:
-    return [(float(lam), float(rho)) for lam, rho in zip(cfg.lambda_grid, cfg.rho_grid)]
 
 
 def dispatch(cfg: RunConfig) -> int:
@@ -443,16 +439,19 @@ def dispatch(cfg: RunConfig) -> int:
     Returns 0 only when the study ran without any faulted cells.
     """
     command = cfg.command
-    grid = {"lam": list(cfg.lambda_grid), "spectral_target": list(cfg.rho_grid)}
     if command == "run":
         result = run_single(_sweep_spec(cfg, {"lam": [cfg.lam]}))
     elif command == "spectrum":
         result = run_spectrum(cfg.task, cfg.length, cfg.seed, _task_kwargs(cfg))
     elif command == "sweep":
+        grid = {"lam": list(cfg.lambda_grid), "spectral_target": list(cfg.rho_grid)}
         result = run_grid_sweep(_sweep_spec(cfg, grid))
     elif command == "mc":
-        nodes = cfg.nodes if cfg.nodes is not None else _diagonal_nodes(cfg)
-        result = run_mc_study(_sweep_spec(cfg, grid), nodes, k_max=cfg.k_max)
+        # The grids give only the default nodes, their diagonal.
+        nodes = cfg.nodes or list(zip(cfg.lambda_grid, cfg.rho_grid))
+        lams, rhos = zip(*nodes)
+        axes = {"lam": list(lams), "spectral_target": list(rhos)}
+        result = run_mc_study(_sweep_spec(cfg, axes), nodes, k_max=cfg.k_max)
     elif command == "sparsity":
         result = run_sparsity_sweep(_sweep_spec(cfg, {"density": list(cfg.density_grid)}))
     elif command == "astringency":

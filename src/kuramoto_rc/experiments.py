@@ -465,17 +465,14 @@ def run_sparsity_sweep(spec: SweepSpec) -> ExperimentResult:
     )
 
 
-def _develop_inputs(spec: SweepSpec, steps: int) -> np.ndarray:
-    """The first ``steps`` inputs of the spec's task, shared by every
-    develop-only job of a study. A generator is asked for at least the 11
-    samples NARMA10 needs, which leaves its prefix unchanged; a file task
-    only for the steps."""
-    data = make_task(
-        spec.task,
-        steps if spec.task.startswith("file:") else max(steps, 11),
-        seed=derive_seed(spec.master_seed, _TASK_STREAM, 0),
-        **spec.task_kwargs,
-    )
+def _trial0_inputs(task: str, steps: int, master_seed: int, task_kwargs: dict):
+    """The first ``steps`` inputs of the task drawn with trial 0's task
+    seed: the drive every job of a develop-only study shares, and the
+    series of a spectrum. The returned array holds the task, so the
+    generated one is released at once."""
+    seed = derive_seed(master_seed, _TASK_STREAM, 0)
+    data = make_task(task, steps, seed=seed, **task_kwargs)
+    release_generated_tasks()
     return data.inputs[:steps]
 
 
@@ -484,10 +481,7 @@ def run_spectrum(
 ) -> ExperimentResult:
     """Magnitude spectrum of the first ``length`` inputs of the task drawn
     with trial 0's task seed, one record per frequency bin."""
-    seed = derive_seed(master_seed, _TASK_STREAM, 0)
-    data = make_task(task, length, seed=seed, **task_kwargs)
-    release_generated_tasks()  # the one task of this study is held in data
-    freqs, mags = spectrum(data.inputs[:length])
+    freqs, mags = spectrum(_trial0_inputs(task, length, master_seed, task_kwargs))
     records = [
         {"bin": i, "frequency": float(freqs[i]), "magnitude": float(mags[i]), "fault": ""}
         for i in range(freqs.size)
@@ -512,27 +506,27 @@ def _astringency_job(payload: dict) -> dict:
     return {"initial": initial, "developed": net.coupling}
 
 
-def run_astringency(spec: SweepSpec, beta: float = 0.0) -> ExperimentResult:
+def run_astringency(spec: SweepSpec) -> ExperimentResult:
     """Convergence of differently initialized coupling matrices.
 
     Per density, ``spec.trials`` networks share one sparsity pattern and
     one frequency draw but reseed their initial live weights; all develop
-    under the same input stream. Distances to the first trial's matrix are
-    reported before and after development, in both signed and absolute
-    modes.
+    at the base config's ``beta`` under the same input stream. Distances
+    to the first trial's matrix are reported before and after development,
+    in both signed and absolute modes.
     """
     if spec.trials < 2:
         raise ValueError("astringency needs at least 2 trials")
     densities = spec.axes.get("density")
     if densities is None:
         raise ValueError("astringency needs a 'density' axis")
-    inputs = _develop_inputs(spec, max(spec.base.len_adev - 1, 0))
+    steps = max(spec.base.len_adev - 1, 0)
+    inputs = _trial0_inputs(spec.task, steps, spec.master_seed, spec.task_kwargs)
     cells = [
         (di, {"density_index": di, "density": density})
         for di, density in enumerate(densities)
     ]
-    at_beta = replace(spec, base=replace(spec.base, beta=beta))
-    jobs = _trial_records(at_beta, _astringency_job, cells, (), inputs=inputs)
+    jobs = _trial_records(spec, _astringency_job, cells, (), inputs=inputs)
     group = ["density_index", "density"]
     stages = ("initial", "developed")
     modes = ("signed", "absolute")
@@ -559,11 +553,11 @@ def run_astringency(spec: SweepSpec, beta: float = 0.0) -> ExperimentResult:
 def run_beta_sweep(spec: SweepSpec) -> ExperimentResult:
     """Error and synchrony across the character parameter.
 
-    Uses the spec's ``beta`` axis (by default 25 points from -pi to pi in
-    steps of pi/12). Aggregates carry full boxplot statistics.
+    Uses the spec's ``beta`` axis; aggregates carry full boxplot
+    statistics.
     """
     if "beta" not in spec.axes:
-        spec = replace(spec, axes={**spec.axes, "beta": default_beta_grid()})
+        raise ValueError("beta sweep needs a 'beta' axis")
     return _grid_sweep(spec, quartiles=True)
 
 
@@ -618,7 +612,8 @@ def run_weight_distribution_study(
         raise ValueError("weight study needs a 'beta' axis")
     if not initial_params:
         raise ValueError("initial_params must be nonempty")
-    inputs = _develop_inputs(spec, spec.base.len_adev)
+    steps = spec.base.len_adev
+    inputs = _trial0_inputs(spec.task, steps, spec.master_seed, spec.task_kwargs)
     cells = [
         (ci, {"combo_index": ci, "initial_a": a, "initial_b": b, "beta": beta})
         for ci, ((a, b), beta) in enumerate(itertools.product(initial_params, betas))

@@ -324,8 +324,12 @@ def make_task(
     A generated preset is built once per study for each (preset, length,
     seed): later calls share its read-only arrays, each with a fresh
     ``meta`` dict, until ``release_generated_tasks`` drops them when the
-    study's jobs are done. A ``file:`` task is read again on every call.
+    study's jobs are done; a task shorter than the 11 samples NARMA10
+    needs is the prefix of an 11-sample one. A ``file:`` task is read again
+    on every call.
     """
+    if length < 0:
+        raise ValueError("length must be nonnegative")
     if preset in _GENERATED:
         # mso12 ignores its seed, so one entry serves every trial.
         cached = _generated_task(preset, length, 0 if preset == "mso12" else seed)
@@ -355,12 +359,14 @@ def release_generated_tasks() -> None:
 # emptied when the study ends.
 @lru_cache(maxsize=64)
 def _generated_task(preset: str, length: int, seed: int) -> TaskData:
+    size = max(length, 11)  # every generator is prefix-stable
     if preset == "narma10":
-        data = gen_narma10(length, seed)
+        data = gen_narma10(size, seed)
     elif preset == "mg17":
-        data = gen_mackey_glass(length, seed=seed)
+        data = gen_mackey_glass(size, seed=seed)
     else:
-        data = gen_mso(length)
+        data = gen_mso(size)
+    data.inputs, data.targets = data.inputs[:length], data.targets[:length]
     data.inputs.flags.writeable = False
     data.targets.flags.writeable = False
     return data

@@ -106,13 +106,13 @@ def landscape():
 def test_criterion_1_astringency():
     spec = SweepSpec(
         task="narma10",
-        base=ReservoirConfig(),
+        base=ReservoirConfig(beta=0.0),
         axes={"density": [0.05]},
         trials=10,
         master_seed=MASTER,
         workers=WORKERS,
     )
-    result = run_astringency(spec, beta=0.0)
+    result = run_astringency(spec)
     agg = result.aggregates[0]
     ratio = agg["developed_absolute_median"] / agg["initial_absolute_median"]
     ok = ratio <= 1e-6

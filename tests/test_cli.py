@@ -9,6 +9,7 @@ import pytest
 
 from kuramoto_rc import cli, experiments, tasks
 from kuramoto_rc.cli import (
+    COMMAND_DEFAULTS,
     RunConfig,
     _format_value,
     dispatch,
@@ -131,12 +132,17 @@ class TestParseConfig:
             parse_config(None, {"command": "explode"})
 
     def test_trials_default_depends_on_command(self):
-        assert parse_config(None, {"command": "sweep"}).resolved_trials() == 10
-        assert parse_config(None, {"command": "sparsity"}).resolved_trials() == 50
-        assert (
-            parse_config(None, {"command": "sweep", "trials": "3"}).resolved_trials()
-            == 3
-        )
+        assert parse_config(None, {"command": "sweep"}).trials == 10
+        assert parse_config(None, {"command": "sparsity"}).trials == 50
+        assert parse_config(None, {"command": "sweep", "trials": "3"}).trials == 3
+
+    def test_astringency_row_sets_beta_below_the_file_and_flags(self, tmp_path):
+        assert parse_config(None, {"command": "astringency"}).beta == 0.0
+        assert parse_config(None, {"command": "sweep"}).beta == -math.pi / 2
+        path = tmp_path / "c.txt"
+        path.write_text("beta = 1.0\n")
+        assert parse_config(path, {"command": "astringency"}).beta == 1.0
+        assert parse_config(path, {"command": "astringency", "beta": "2"}).beta == 2.0
 
     def test_outdir_env_default(self, monkeypatch):
         monkeypatch.setenv("KURAMOTO_RC_OUTDIR", "/tmp/custom-results")
@@ -147,11 +153,17 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"config key '{key}': empty value"):
             parse_config(None, {key: ""})
 
-    def test_empty_value_unsets_an_optional_key(self):
+    def test_empty_value_unsets_an_optional_key(self, tmp_path):
+        # An unset trial count is the command's default.
         cfg = parse_config(
             None, {"trials": "", "nodes": "", "column": "", "normalize": ""}
         )
-        assert (cfg.trials, cfg.nodes, cfg.column, cfg.normalize) == (None,) * 4
+        assert (cfg.nodes, cfg.column, cfg.normalize) == (None,) * 3
+        assert cfg.trials == COMMAND_DEFAULTS["run"]["trials"]
+        file_then_flag = tmp_path / "c.txt"
+        file_then_flag.write_text("trials = 5\n")
+        cfg = parse_config(file_then_flag, {"command": "sweep", "trials": ""})
+        assert cfg.trials == COMMAND_DEFAULTS["sweep"]["trials"]
 
     @pytest.mark.parametrize("text", ["2:1:1", ",", " , "])
     def test_empty_float_list_names_key(self, text):
@@ -611,6 +623,37 @@ class TestMain:
         cfg = parse_config(tmp_path / "config.txt", {})
         assert cfg.rho_grid == default_rho_grid()
 
+    def test_mc_nodes_off_the_grids(self, tmp_path):
+        # Explicit nodes are the study's axes; the grids give only the
+        # default nodes.
+        flags = ["--n", "20", "--len-adev", "8", "--len-train", "40", "--len-test", "10"]
+        flags += ["--nodes", "3.3,0.7", "--k-max", "5", "--trials", "1"]
+        assert main(["mc", *flags, "--outdir", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "records.csv")
+        record = dict(zip(header, rows[0]))
+        assert (record["lam"], record["spectral_target"]) == (
+            _format_value(3.3),
+            _format_value(0.7),
+        )
+
+    def test_astringency_develops_at_the_configured_beta(self, tmp_path):
+        flags = ["--n", "20", "--len-adev", "8", "--density-grid", "0.2", "--trials", "3"]
+        records = {}
+        for beta in ("0", "1.0"):
+            outdir = tmp_path / beta
+            flags_at_beta = [*flags, "--beta", beta, "--outdir", str(outdir)]
+            assert main(["astringency", *flags_at_beta]) == 0
+            echo = (outdir / "config.txt").read_text()
+            assert f"\nbeta = {_format_value(float(beta))}\n" in echo
+            records[beta] = (outdir / "records.csv").read_bytes()
+        assert records["0"] != records["1.0"]
+
+    def test_spectrum_of_a_narma10_series_below_its_11_samples(self, tmp_path):
+        flags = ["--task", "narma10", "--length", "8", "--outdir", str(tmp_path)]
+        assert main(["spectrum", *flags]) == 0
+        _, rows = read_csv(tmp_path / "records.csv")
+        assert len(rows) == 8 // 2 + 1
+
     def test_empty_test_span_faults_every_pipeline_study(self, tmp_path):
         flags = ["--n", "20", "--len-adev", "8", "--len-train", "40", "--len-test", "0"]
         flags += ["--lambda-grid", "2", "--rho-grid", "0.4", "--trials", "1"]
@@ -689,6 +732,23 @@ STUDIES = {
     "beta-sweep": {"beta_grid": "-0.5,0.5", "trials": 2},
     "weights": {"weight_inits": "1,1;5,1", "weight_betas": "0.0", "bins": 8, "trials": 2},
 }
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_rerun_from_the_echoed_config_is_byte_identical(tmp_path, command):
+    first, again = tmp_path / "first", tmp_path / "again"
+    args = dict(TINY, command=command, outdir=str(first), seed="7")
+    args.update({k: str(v) for k, v in STUDIES.get(command, {"length": 64}).items()})
+    assert dispatch(parse_config(None, args)) == 0
+    echoed = first / "config.txt"
+    assert main([command, "--config", str(echoed), "--outdir", str(again)]) == 0
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in again.iterdir())
+    for name in names:
+        expected = (first / name).read_bytes()
+        if name == "config.txt":  # the echo names its own output directory
+            expected = expected.replace(str(first).encode(), str(again).encode())
+        assert (again / name).read_bytes() == expected, name
 
 
 class TestRecordsRerunAlone:

@@ -170,7 +170,7 @@ def default_weights():
     spec = SweepSpec(
         base=cfg.reservoir_config(),
         axes={"beta": list(cfg.weight_betas)},
-        trials=cfg.resolved_trials(),
+        trials=cfg.trials,
         master_seed=cfg.seed,
     )
     result = run_weight_distribution_study(spec, cfg.weight_inits, bins=cfg.bins)

@@ -372,7 +372,7 @@ class TestSparsitySweep:
 class TestAstringency:
     def test_distance_columns_and_counts(self):
         spec = SweepSpec(
-            base=tiny_base(),
+            base=tiny_base(beta=0.0),
             axes={"density": [0.1, 0.3]},
             trials=4,
             master_seed=11,
@@ -386,7 +386,7 @@ class TestAstringency:
 
     def test_development_contracts_distances(self):
         spec = SweepSpec(
-            base=tiny_base(n=60, len_adev=60, len_train=80, len_test=10),
+            base=tiny_base(n=60, len_adev=60, len_train=80, len_test=10, beta=0.0),
             axes={"density": [0.1]},
             trials=4,
             master_seed=12,
@@ -399,7 +399,7 @@ class TestAstringency:
 
     def test_deterministic(self):
         spec = SweepSpec(
-            base=tiny_base(),
+            base=tiny_base(beta=0.0),
             axes={"density": [0.2]},
             trials=3,
             master_seed=13,
@@ -407,7 +407,7 @@ class TestAstringency:
         assert run_astringency(spec).records == run_astringency(spec).records
 
     def test_needs_at_least_two_trials(self):
-        spec = SweepSpec(base=tiny_base(), axes={"density": [0.1]}, trials=1)
+        spec = SweepSpec(base=tiny_base(beta=0.0), axes={"density": [0.1]}, trials=1)
         with pytest.raises(ValueError, match="2 trials"):
             run_astringency(spec)
 
@@ -534,7 +534,10 @@ class TestFaultIsolation:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_astringency_records_faults(self, workers):
         spec = SweepSpec(
-            base=diverging_base(), axes={"density": [0.3]}, trials=3, workers=workers
+            base=replace(diverging_base(), beta=0.0),
+            axes={"density": [0.3]},
+            trials=3,
+            workers=workers,
         )
         result = run_astringency(spec)
         assert result.n_faults == 2
@@ -555,7 +558,7 @@ class TestFaultIsolation:
             return develop(net, inputs, target, on_step)
 
         monkeypatch.setattr(experiments, "develop", develop_failing_second)
-        spec = SweepSpec(base=tiny_base(), axes={"density": [0.3]}, trials=3)
+        spec = SweepSpec(base=tiny_base(beta=0.0), axes={"density": [0.3]}, trials=3)
         first, second = run_astringency(spec).records
         assert first["fault"] == "FloatingPointError: injected"
         assert np.isnan(first["developed_signed"])

@@ -69,7 +69,7 @@ FLAGS = [
 GOLDEN = {
     "astringency": {
         "aggregates.csv": "5a1509311e536f4768422d85b7d1b19b32819f8cf309b5d3cbd575458ef5baae",
-        "config.txt": "3785a94627518990e1baea128b3263b521effecbf3b6e0fa0355b9a28681496f",
+        "config.txt": "e4182b7940de721f282f2fd02c07709961f14f12eed6e17a2faf00ce7178637a",
         "records.csv": "c2798582e1c6e9430f0003b11d25923a48d6cad18a588a636a68950d2fc13b03",
     },
     "beta-sweep": {

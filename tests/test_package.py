@@ -1,7 +1,9 @@
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import kuramoto_rc
+from kuramoto_rc import ReservoirConfig
 
 
 def test_star_import_binds_exactly_all():
@@ -62,3 +64,34 @@ def test_only_make_result_builds_tables():
         )
     ]
     assert builders == ["_make_result"]
+
+
+def experiments_functions() -> list[ast.FunctionDef]:
+    source = Path(kuramoto_rc.__file__).parent / "experiments.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    return [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+
+def test_no_study_takes_a_reservoir_setting_as_a_parameter():
+    # A study reads every reservoir setting from its spec's base or axes.
+    settings = {f.name for f in fields(ReservoirConfig)}
+    shadowed = [
+        f"{node.name}({arg.arg})"
+        for node in experiments_functions()
+        if node.name.startswith("run_")
+        for arg in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+        if arg.arg in settings
+    ]
+    assert shadowed == []
+
+
+def test_only_the_trial_0_reader_and_the_pipeline_job_make_tasks():
+    callers = [
+        node.name
+        for node in experiments_functions()
+        if any(
+            isinstance(name, ast.Name) and name.id == "make_task"
+            for name in ast.walk(node)
+        )
+    ]
+    assert sorted(callers) == ["_pipeline_job", "_trial0_inputs"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kuramoto_rc.cli import TRIAL_DEFAULTS
+from kuramoto_rc.cli import COMMAND_DEFAULTS
 from kuramoto_rc.tasks import (
     MSO12_FREQUENCIES,
     MackeyGlassParams,
@@ -391,6 +391,19 @@ class TestMakeTask:
             make_task("narma20", 100)
 
     @pytest.mark.parametrize("preset", ["narma10", "mg17", "mso12"])
+    @pytest.mark.parametrize("length", [0, 1, 8, 10])
+    def test_a_task_below_11_samples_is_a_prefix(self, preset, length):
+        # Generated at 11 samples and at 300, so the generator must be
+        # prefix-stable.
+        short, full = make_task(preset, length, seed=3), make_task(preset, 300, seed=3)
+        assert short.inputs.tobytes() == full.inputs[:length].tobytes()
+        assert short.targets.tobytes() == full.targets[:length].tobytes()
+
+    def test_negative_length_faults(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            make_task("narma10", -1)
+
+    @pytest.mark.parametrize("preset", ["narma10", "mg17", "mso12"])
     def test_generated_task_is_built_once(self, preset):
         first = make_task(preset, 300, seed=4)
         again = make_task(preset, 300, seed=4)
@@ -406,7 +419,7 @@ class TestMakeTask:
     def test_a_default_trial_cycle_reuses_its_tasks(self):
         # A study asks for `trials` task seeds in turn for every cell; the
         # cache must hold a whole cycle at the largest default trial count.
-        trials = max(TRIAL_DEFAULTS.values())
+        trials = max(row["trials"] for row in COMMAND_DEFAULTS.values())
         _generated_task.cache_clear()
         for _cell in range(2):
             for seed in range(trials):
