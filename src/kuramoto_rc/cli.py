@@ -312,12 +312,9 @@ def _format_value(value) -> str:
 
 
 def _format_config_value(value) -> str:
-    if isinstance(value, (list, tuple)) and value and isinstance(value[0], tuple):
-        return ";".join(
-            ",".join(_format_value(x) for x in pair) for pair in value
-        )
     if isinstance(value, (list, tuple)):
-        return ",".join(_format_value(x) for x in value)
+        sep = ";" if value and isinstance(value[0], tuple) else ","
+        return sep.join(map(_format_config_value, value))
     return _format_value(value)
 
 
@@ -436,7 +433,7 @@ def _sweep_spec(cfg: RunConfig, axes: dict) -> SweepSpec:
 def dispatch(cfg: RunConfig) -> int:
     """Execute the selected study and write its outputs.
 
-    Returns 0 only when the study ran without any faulted cells.
+    Returns 0 only when the study ran without any faulted records.
     """
     command = cfg.command
     if command == "run":
@@ -465,7 +462,7 @@ def dispatch(cfg: RunConfig) -> int:
     write_result(result, cfg.format, cfg.outdir, cfg)
     print(
         f"{command}: wrote {len(result.records)} records to {cfg.outdir}"
-        + (f" ({result.n_faults} faulted cells)" if result.n_faults else "")
+        + (f" ({result.n_faults} faulted records)" if result.n_faults else "")
     )
     return 0 if result.n_faults == 0 else 1
 

@@ -1,11 +1,12 @@
 """Seeded batch studies over the reservoir parameter space.
 
-Every study expands into a list of independent jobs keyed by (cell index,
-trial index). Job seeds are derived from the master seed and those
-indices, so results are identical no matter how many workers execute the
-jobs or in which order they finish, and any single record can be re-run
-in isolation. Faulted cells are recorded, counted, and left out of the
-aggregate rows.
+A study plans its jobs, runs them, then builds its result: ``_plan`` gives
+the (payload, record key) pair of each (cell index, trial index), ``_run``
+turns any pairs of a plan into records, and ``_make_result`` aggregates
+them. Job seeds derive from the master seed and those indices alone, so
+results do not depend on the worker count or finishing order, and a pair
+run as a one-element plan reproduces its record. Faulted jobs are
+recorded, counted, and left out of the aggregate rows.
 """
 
 from __future__ import annotations
@@ -298,61 +299,64 @@ def _guarded(fn, payload) -> dict:
         return {"fault": f"{type(exc).__name__}: {exc}"}
 
 
-def _trial_records(spec: SweepSpec, fn, cells: list, values, **extra) -> list[dict]:
-    """Records of ``fn`` over every trial of every (seed index, key) cell.
+def _plan(spec: SweepSpec, cells: list, **extra) -> list[tuple[dict, dict]]:
+    """The (payload, record key) pair of every trial of every (seed index,
+    key) cell, in record order. Nothing runs here.
 
     A job's config is the base with the key's config fields, its network
     seeded by (seed index, trial) and its task by the trial alone. The
     payload carries that config, the key, ``extra`` and the ``seed_key``
     (master seed, seed index, trial) that any further seed stream of the
-    job derives from. A record is the key, the trial, both seeds, then the
-    job's outcome; the value columns of a faulted job are NaN. When the jobs
-    are done, the generated tasks they shared are released.
+    job derives from. A record key is the cell key, the trial and both seeds.
 
     Every cell key must hold every axis of the spec, at one of its values.
     """
-    for _, key in cells:
+    plan = []
+    for index, key in cells:
         unread = [name for name in spec.axes if name not in key]
         if unread:
             raise ValueError(f"axes the study does not read: {', '.join(unread)}")
         for name, axis in spec.axes.items():
             if key[name] not in axis:
                 raise ValueError(f"cell {name} {key[name]!r} outside its axis")
-    payloads = []
-    keys = []
-    for index, key in cells:
         overrides = {name: v for name, v in key.items() if name in _CONFIG_FIELDS}
         for t in range(spec.trials):
             net_seed = derive_seed(spec.master_seed, _NET_STREAM, index, t)
             task_seed = derive_seed(spec.master_seed, _TASK_STREAM, t)
-            payloads.append(
-                {
-                    "cfg": replace(spec.base, **overrides, seed=net_seed),
-                    "key": key,
-                    "seed_key": (spec.master_seed, index, t),
-                    "task": spec.task,
-                    "task_seed": task_seed,
-                    "task_kwargs": spec.task_kwargs,
-                    **extra,
-                }
-            )
-            keys.append({**key, "trial": t, "net_seed": net_seed, "task_seed": task_seed})
-    job = functools.partial(_guarded, fn)
+            payload = {
+                "cfg": replace(spec.base, **overrides, seed=net_seed),
+                "key": key,
+                "seed_key": (spec.master_seed, index, t),
+                "task": spec.task,
+                "task_seed": task_seed,
+                "task_kwargs": spec.task_kwargs,
+                **extra,
+            }
+            seeds = {"trial": t, "net_seed": net_seed, "task_seed": task_seed}
+            plan.append((payload, {**key, **seeds}))
+    return plan
+
+
+def _run(fn, plan: list[tuple[dict, dict]], values, workers: int) -> list[dict]:
+    """Records of ``fn`` over any (payload, key) pairs of a plan, in their
+    order: the key, ``values`` as NaN, an empty fault, then the outcome,
+    where a job's exception becomes its fault. When the jobs are done, the
+    generated tasks they shared are released."""
     try:
-        if spec.workers > 1 and len(payloads) > 1:
+        if workers > 1 and len(plan) > 1:
             # One job at a time: job costs vary several-fold across cells,
             # and chunks leave a worker idle at the end. A fork pool starts
             # all its workers at once, so it gets no more than there are jobs.
-            workers = min(spec.workers, len(payloads))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(job, payloads))
+            with ProcessPoolExecutor(max_workers=min(workers, len(plan))) as pool:
+                job = functools.partial(_guarded, fn)
+                outcomes = list(pool.map(job, (payload for payload, _ in plan)))
         else:
-            outcomes = [job(p) for p in payloads]
+            outcomes = [_guarded(fn, payload) for payload, _ in plan]
     finally:
         # A generated task lives for one study, here as in a pool worker.
         release_generated_tasks()
     nan = dict.fromkeys(values, float("nan"))
-    return [{**key, **nan, "fault": "", **out} for key, out in zip(keys, outcomes)]
+    return [{**key, **nan, "fault": "", **out} for (_, key), out in zip(plan, outcomes)]
 
 
 def _pipeline_job(payload: dict) -> dict:
@@ -401,7 +405,8 @@ def _grid_sweep(spec: SweepSpec, quartiles: bool = False, **extra) -> Experiment
     ``predictions`` each job's test-span predictions become a table."""
     group = ["cell_index", *spec.axes]
     cells = [(ci, {"cell_index": ci, **cell}) for ci, cell in enumerate(spec.cells())]
-    records = _trial_records(spec, _pipeline_job, cells, _PIPELINE_VALUES, **extra)
+    plan = _plan(spec, cells, **extra)
+    records = _run(_pipeline_job, plan, _PIPELINE_VALUES, spec.workers)
     tables = {}
     if extra.get("predictions"):
         tables["predictions"] = ["step", "target", "prediction"]
@@ -438,7 +443,7 @@ def run_mc_study(
         (ni, {"node_index": ni, "lam": lam, "spectral_target": rho})
         for ni, (lam, rho) in enumerate(sample_nodes)
     ]
-    records = _trial_records(spec, _pipeline_job, cells, values, k_max=k_max)
+    records = _run(_pipeline_job, _plan(spec, cells, k_max=k_max), values, spec.workers)
     tables = {"mc_curve": key_columns + ["delay", "coefficient"]}
     value_columns = ["test_mse", "order_r", "mc_total"]
     return _make_result(records, key_columns, values, group, value_columns, tables=tables)
@@ -458,7 +463,7 @@ def run_sparsity_sweep(spec: SweepSpec) -> ExperimentResult:
         for di, density in enumerate(densities)
         for adaptive in (True, False)
     ]
-    records = _trial_records(spec, _pipeline_job, cells, _PIPELINE_VALUES)
+    records = _run(_pipeline_job, _plan(spec, cells), _PIPELINE_VALUES, spec.workers)
     group = ["density_index", "density", "adaptive"]
     return _make_result(
         records, group + ["trial"], _PIPELINE_VALUES, group, ["test_mse", "train_mse"]
@@ -526,7 +531,7 @@ def run_astringency(spec: SweepSpec) -> ExperimentResult:
         (di, {"density_index": di, "density": density})
         for di, density in enumerate(densities)
     ]
-    jobs = _trial_records(spec, _astringency_job, cells, (), inputs=inputs)
+    jobs = _run(_astringency_job, _plan(spec, cells, inputs=inputs), (), spec.workers)
     group = ["density_index", "density"]
     stages = ("initial", "developed")
     modes = ("signed", "absolute")
@@ -537,10 +542,9 @@ def run_astringency(spec: SweepSpec) -> ExperimentResult:
         for job in others:
             rec = {c: job[c] for c in (*group, "trial")}
             rec.update(dict.fromkeys(distances, float("nan")))
+            rec["fault"] = job["fault"]
             if reference["fault"]:
                 rec["fault"] = f"reference trial: {reference['fault']}"
-            else:
-                rec["fault"] = job["fault"]
             if not rec["fault"]:
                 for stage, mode in itertools.product(stages, modes):
                     rec[f"{stage}_{mode}"] = matrix_distance(
@@ -619,7 +623,8 @@ def run_weight_distribution_study(
         for ci, ((a, b), beta) in enumerate(itertools.product(initial_params, betas))
     ]
     values = ("n_live", "fitted_a", "fitted_b")
-    records = _trial_records(spec, _weight_job, cells, values, inputs=inputs, bins=bins)
+    plan = _plan(spec, cells, inputs=inputs, bins=bins)
+    records = _run(_weight_job, plan, values, spec.workers)
     tables = {
         "snapshots": ["combo_index", "trial", "step", "bin_center", "count"],
         "final_hist": ["combo_index", "trial", "bin_center", "count"],

@@ -173,8 +173,6 @@ def reinitialize_weights(
 def _draw_mask(n: int, density: float, rng: np.random.Generator) -> np.ndarray:
     n_edges = int(np.floor(density * n * (n - 1)))
     mask = np.zeros((n, n), dtype=bool)
-    if n_edges == 0:
-        return mask
     flat = np.arange(n * n)
     off_diagonal = flat[flat // n != flat % n]
     chosen = rng.choice(off_diagonal, size=n_edges, replace=False)

@@ -38,6 +38,7 @@ from kuramoto_rc.tasks import (
     integrate_mackey_glass,
     spectrum,
 )
+from test_golden import kernel_path
 
 WORKERS = min(8, os.cpu_count() or 1)
 MASTER = 20240817
@@ -68,8 +69,9 @@ def blas_version(module) -> str:
 @pytest.fixture(scope="module", autouse=True)
 def manifest():
     """One line naming what the printed figures depend on besides the
-    code: the CPU, the numpy, scipy and BLAS builds and the thread
-    variables. Two runs are comparable only when their lines agree."""
+    code: the CPU, the numpy, scipy and BLAS builds, the thread variables
+    and the kernel path. Two runs are comparable only when their lines
+    agree."""
     threads = " ".join(
         f"{name}={os.environ.get(name, 'unset')}"
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -77,7 +79,7 @@ def manifest():
     print(
         f"MANIFEST: cpu {cpu_model()} x{os.cpu_count()}; numpy {np.__version__} "
         f"(BLAS {blas_version(np)}); scipy {scipy.__version__} "
-        f"(BLAS {blas_version(scipy)}); {threads}"
+        f"(BLAS {blas_version(scipy)}); {threads}; {kernel_path()}"
     )
 
 

@@ -578,6 +578,15 @@ class TestMain:
         assert err.startswith("error:") and "lam must be finite" in err
         assert not outdir.exists()
 
+    def test_the_summary_counts_faulted_records(self, tmp_path, capsys):
+        # One cell, two trials, both diverging: two faulted records.
+        flags = ["--n", "20", "--density", "0.3", "--len-adev", "60"]
+        flags += ["--len-train", "80", "--len-test", "10", "--lambda-grid", "1e308"]
+        flags += ["--rho-grid", "2", "--trials", "2", "--outdir", str(tmp_path)]
+        assert main(["sweep", *flags]) == 1
+        out = capsys.readouterr().out
+        assert out == f"sweep: wrote 2 records to {tmp_path} (2 faulted records)\n"
+
     def test_k_max_above_the_washout_fails_before_any_job(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -752,28 +761,30 @@ def test_rerun_from_the_echoed_config_is_byte_identical(tmp_path, command):
 
 
 class TestRecordsRerunAlone:
-    """Every job of every study, rerun alone with an empty task cache,
-    reproduces the cells its study wrote."""
+    """Every (payload, record key) pair of every study, run alone as a
+    one-element plan with an empty task cache, reproduces the cells its
+    study wrote."""
 
     @pytest.mark.parametrize("command", list(STUDIES))
     def test_each_job_reproduces_its_cells(self, tmp_path, monkeypatch, command):
-        guarded = experiments._guarded
+        run = experiments._run
         jobs = []
 
-        def recording(fn, payload):
-            jobs.append((fn, payload))
-            return guarded(fn, payload)
+        def recording(fn, plan, values, workers):
+            jobs.extend((fn, pair, values) for pair in plan)
+            return run(fn, plan, values, workers)
 
-        monkeypatch.setattr(experiments, "_guarded", recording)
+        monkeypatch.setattr(experiments, "_run", recording)
         args = dict(TINY, command=command, outdir=str(tmp_path), seed="7")
         args.update({k: str(v) for k, v in STUDIES[command].items()})
         assert dispatch(parse_config(None, args)) == 0
         header, rows = read_csv(tmp_path / "records.csv")
         records = [dict(zip(header, row)) for row in rows]
 
-        def rerun(fn, payload):
+        def rerun(fn, pair, values):
             tasks.release_generated_tasks()
-            return guarded(fn, payload)
+            (record,) = run(fn, [pair], values, 1)
+            return record
 
         if command == "astringency":
             self.check_astringency(jobs, records, rerun)
@@ -784,17 +795,10 @@ class TestRecordsRerunAlone:
             for path in tmp_path.glob("table_*.csv")
         }
         read = dict.fromkeys(tables, 0)
-        for (fn, payload), record in zip(jobs, records):
-            key = {**payload["key"], "trial": payload["seed_key"][2]}
-            assert {c: record[c] for c in key} == {
-                c: _format_value(v) for c, v in key.items()
-            }
-            outcome = rerun(fn, payload)
-            job_tables = outcome.pop("tables", {})
-            assert record["fault"] == outcome.pop("fault", "")
-            assert {c: record[c] for c in outcome} == {
-                c: _format_value(v) for c, v in outcome.items()
-            }
+        for job, record in zip(jobs, records):
+            alone = rerun(*job)
+            job_tables = alone.pop("tables", {})
+            assert record == {c: _format_value(alone[c]) for c in header}
             for name, block in job_tables.items():
                 columns, table_rows = tables[name]
                 arrays = dict(zip(block, np.broadcast_arrays(*block.values())))
@@ -812,17 +816,20 @@ class TestRecordsRerunAlone:
     @staticmethod
     def check_astringency(jobs, records, rerun):
         # A record compares its trial's coupling with its density's trial 0.
-        by_trial = {
-            (p["key"]["density_index"], p["seed_key"][2]): (fn, p) for fn, p in jobs
-        }
+        by_trial = {}
+        for job in jobs:
+            _, (_, key), _ = job
+            by_trial[key["density_index"], key["trial"]] = job
         trials = STUDIES["astringency"]["trials"]
         assert len(records) == len(jobs) // trials * (trials - 1)
         for record in records:
             index, trial = int(record["density_index"]), int(record["trial"])
             job = rerun(*by_trial[index, trial])
             reference = rerun(*by_trial[index, 0])
-            assert record["fault"] == ""
+            expected = {c: job[c] for c in ("density_index", "density", "trial")}
             stages = itertools.product(("initial", "developed"), ("signed", "absolute"))
             for stage, mode in stages:
                 distance = matrix_distance(job[stage], reference[stage], mode)
-                assert record[f"{stage}_{mode}"] == _format_value(distance)
+                expected[f"{stage}_{mode}"] = distance
+            expected["fault"] = ""
+            assert record == {c: _format_value(v) for c, v in expected.items()}

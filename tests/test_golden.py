@@ -1,14 +1,18 @@
 """Golden outputs: every CLI subcommand at a tiny config, and ``mc`` in
 JSON form, byte for byte.
 
-Each subcommand runs in its own process with BLAS threads pinned to 1 and
-two workers. The SHA-256 digest of every file it writes must equal the
-recorded one; ``config.txt`` is hashed without its ``outdir`` line, which
-names the temporary directory. A refactor that changes any floating-point
-operation or its order shows up here.
+Each subcommand runs in its own process with BLAS threads pinned to 1,
+once on two workers and once on one. The SHA-256 digest of every file it
+writes must equal the recorded one; ``config.txt`` is hashed without its
+``outdir`` line, which names the temporary directory, and with the worker
+count it echoes read as the recorded two. A refactor that changes any
+floating-point operation or its order shows up here.
 
-Run this file as a script to print, for each file whose digest differs
-from ``GOLDEN``, the recorded and the current digest::
+The digests hold on one kernel path: the core each bundled OpenBLAS picks
+for the CPU, and numpy's dispatch targets. ``kernel_path()`` names it.
+
+Run this file as a script to print the kernel path and, for each file whose
+digest differs from ``GOLDEN``, the recorded and the current digest::
 
     PYTHONPATH=src python tests/test_golden.py [--parent PATH]
 
@@ -19,6 +23,7 @@ parent's value.
 """
 
 import argparse
+import ctypes
 import csv
 import hashlib
 import json
@@ -63,7 +68,6 @@ FLAGS = [
     "--bins", "5",
     "--k-max", "5",
     "--length", "64",
-    "--workers", "2",
 ]
 
 GOLDEN = {
@@ -118,9 +122,43 @@ GOLDEN = {
 }
 
 
-def run_command(case: str, outdir: Path, src: Path = SRC) -> dict[str, str]:
-    """Run one case into ``outdir`` with the package under ``src``; digest
-    of every file written."""
+def kernel_path() -> str:
+    """The kernels that compute the outputs here, beyond the numpy and scipy
+    releases: the core name each bundled OpenBLAS chose for this CPU
+    ("unknown" without the library or its getter), then the dispatch
+    targets numpy found available."""
+    import numpy
+    import scipy.linalg
+
+    def corename(module, getter: str) -> str:
+        libs = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*")):
+            try:
+                get = getattr(ctypes.CDLL(str(path)), getter)
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            return get().decode()
+        return "unknown"
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        targets = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    except ImportError:
+        targets = ["unknown"]
+    return (
+        f"OpenBLAS core numpy {corename(numpy, 'scipy_openblas_get_corename64_')}, "
+        f"scipy {corename(scipy, 'scipy_openblas_get_corename')}; "
+        f"numpy dispatch {' '.join(targets) or 'none'}"
+    )
+
+
+def run_command(
+    case: str, outdir: Path, src: Path = SRC, workers: str = "2"
+) -> dict[str, str]:
+    """Run one case into ``outdir`` with the package under ``src`` on
+    ``workers`` workers; digest of every file written."""
     command, *extra = case.split()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -130,7 +168,7 @@ def run_command(case: str, outdir: Path, src: Path = SRC) -> dict[str, str]:
         env[var] = "1"
     proc = subprocess.run(
         [sys.executable, "-m", "kuramoto_rc", command, *FLAGS, *extra]
-        + ["--outdir", str(outdir)],
+        + ["--workers", workers, "--outdir", str(outdir)],
         env=env,
         capture_output=True,
         text=True,
@@ -205,9 +243,21 @@ def compare_outputs(old: Path, new: Path) -> tuple[int, list, float]:
     return changed, columns, worst
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_outputs_match_golden(case, tmp_path):
-    assert run_command(case, tmp_path / "out") == GOLDEN[case]
+# Two workers keep the case's own id; one worker runs every job serially.
+@pytest.mark.parametrize(
+    "case, workers",
+    [pytest.param(case, "2", id=case) for case in CASES]
+    + [pytest.param(case, "1", id=f"{case}-1-worker") for case in CASES],
+)
+def test_outputs_match_golden(case, workers, tmp_path):
+    out = tmp_path / "out"
+    digests = run_command(case, out, workers=workers)
+    # config.txt echoes the worker count; GOLDEN records two.
+    echoed = _content(out / "config.txt").replace(
+        f"\nworkers = {workers}\n".encode(), b"\nworkers = 2\n"
+    )
+    digests["config.txt"] = hashlib.sha256(echoed).hexdigest()
+    assert digests == GOLDEN[case]
 
 
 if __name__ == "__main__":
@@ -218,6 +268,7 @@ if __name__ == "__main__":
         "--parent", type=Path, help="checkout whose src/ to compare outputs with"
     )
     args = parser.parse_args()
+    print(f"kernel path: {kernel_path()}")
     with tempfile.TemporaryDirectory() as tmp:
         for i, case in enumerate(CASES):
             new_dir = Path(tmp) / str(i)

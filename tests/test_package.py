@@ -35,7 +35,8 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
-def test_only_trial_records_runs_jobs():
+def test_only_run_runs_jobs():
+    # _plan lists a study's jobs and _run alone guards and runs them.
     source = Path(kuramoto_rc.__file__).parent / "experiments.py"
     runners = [
         node.name
@@ -47,7 +48,7 @@ def test_only_trial_records_runs_jobs():
             for name in ast.walk(node)
         )
     ]
-    assert runners == ["_trial_records"]
+    assert runners == ["_run"]
 
 
 def test_only_make_result_builds_tables():

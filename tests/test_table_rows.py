@@ -37,14 +37,14 @@ def job_records(monkeypatch):
     """Copies of the job records of every study run in the test, taken
     before the study moves their ``tables`` arrays into its tables."""
     captured = []
-    trial_records = experiments._trial_records
+    run = experiments._run
 
     def capturing(*args, **kwargs):
-        records = trial_records(*args, **kwargs)
+        records = run(*args, **kwargs)
         captured.append(copy.deepcopy(records))
         return records
 
-    monkeypatch.setattr(experiments, "_trial_records", capturing)
+    monkeypatch.setattr(experiments, "_run", capturing)
     return captured
 
 
