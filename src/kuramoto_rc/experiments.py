@@ -90,6 +90,8 @@ class SweepSpec:
             raise ValueError("trials must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
 
     def cells(self) -> list[dict]:
         names = list(self.axes.keys())

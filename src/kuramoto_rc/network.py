@@ -13,8 +13,10 @@ The sparsity pattern of the coupling matrix is fixed at construction; only
 initially live edges ever carry weight, and the adaptation step computes
 only those. After each adaptation step the coupling matrix is rescaled to a
 target spectral radius, estimated from that matrix alone by repeated
-squaring. A dense eigensolver (scipy's) is only the last resort, so tests
-can check against numpy's independently.
+squaring. A dense eigensolver (numpy's) is only the last resort, for
+leading eigenvalues of exactly equal modulus. The package needs numpy
+alone, so a run loads one BLAS/LAPACK; the tests check the radius against
+a dense solver from a separately built library.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 
 TWO_PI = 2.0 * np.pi
 
@@ -349,7 +350,7 @@ def _norm_limit_radius(K: np.ndarray, peak: float) -> float:
     squaring doubles the power, so even a gap |lambda_2 / lambda_1| near 1
     is resolved in a few dozen matrix products, where power steps would
     crawl. If no estimate settles within ``_SQUARINGS`` squarings, the
-    radius comes from ``scipy.linalg.eigvals``.
+    radius comes from ``numpy.linalg.eigvals``.
     """
     P = K / peak
     x0 = _start_vector(K.shape[0])
@@ -369,7 +370,7 @@ def _norm_limit_radius(K: np.ndarray, peak: float) -> float:
         if settled:
             return estimate
         previous = estimate
-    return float(np.abs(scipy.linalg.eigvals(K, check_finite=False)).max())
+    return float(np.abs(np.linalg.eigvals(K)).max())
 
 
 def rescale_to_radius(net: OscillatorNetwork, target: float) -> np.ndarray:

@@ -11,11 +11,9 @@ ahead from each new state.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.linalg
 
 from .network import OscillatorNetwork, develop, init_network, phase_step
 
@@ -272,17 +270,17 @@ def develop_and_collect(
 
 
 def solve_ridge(X: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
-    """Ridge weights w solving (X'X + alpha*I) w = X'Y by a positive-definite
-    factorization; ``Y`` may hold one column per readout. Singular normal
-    equations (alpha = 0 on rank-deficient features) raise ValueError, also
-    when rounding lets them factorize below scipy's condition limit."""
+    """Ridge weights w solving (X'X + alpha*I) w = X'Y; ``Y`` may hold one
+    column per readout. Non-finite normal equations raise ValueError, and
+    so do those whose 1-norm condition number reaches 1/eps (alpha = 0 on
+    rank-deficient features), also when rounding would let them factorize."""
     lhs = X.T @ X + alpha * np.eye(X.shape[1])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            return scipy.linalg.solve(lhs, X.T @ Y, assume_a="pos")
-    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
-        raise ValueError("singular normal equations; set ridge alpha > 0") from exc
+    rhs = X.T @ Y
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise ValueError("ridge features and targets must be finite")
+    if np.linalg.cond(lhs, 1) * np.finfo(float).eps >= 1.0:
+        raise ValueError("singular normal equations; set ridge alpha > 0")
+    return np.linalg.solve(lhs, rhs)
 
 
 def train_readout(

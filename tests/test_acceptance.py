@@ -311,9 +311,9 @@ def test_criterion_7_numerical_oracles():
         y = rng.standard_normal(rows)
         alpha = float(rng.uniform(1e-6, 1.0))
         mine = train_readout(X, y, alpha=alpha).weights
-        oracle = np.linalg.solve(
-            X.T @ X + alpha * np.eye(cols), X.T @ y
-        )  # independent dense normal-equations route (LU, not Cholesky)
+        oracle = scipy.linalg.solve(
+            X.T @ X + alpha * np.eye(cols), X.T @ y, assume_a="pos"
+        )  # independent normal-equations route (scipy's Cholesky, not numpy's LU)
         ridge_worst = max(ridge_worst, float(np.max(np.abs(mine - oracle))))
     ridge_ok = ridge_worst <= 1e-8
 

@@ -68,6 +68,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="workers"):
             SweepSpec(base=tiny_base(), axes={"lam": [1.0]}, workers=workers)
 
+    def test_rejects_negative_master_seed(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            SweepSpec(base=tiny_base(), axes={"lam": [1.0]}, master_seed=-1)
+
     def test_cells_cartesian_order(self):
         spec = SweepSpec(
             base=tiny_base(),

@@ -8,8 +8,9 @@ writes must equal the recorded one; ``config.txt`` is hashed without its
 count it echoes read as the recorded two. A refactor that changes any
 floating-point operation or its order shows up here.
 
-The digests hold on one kernel path: the core each bundled OpenBLAS picks
-for the CPU, and numpy's dispatch targets. ``kernel_path()`` names it.
+The digests hold on one kernel path: the core numpy's bundled OpenBLAS
+picks for the CPU, and numpy's dispatch targets. ``kernel_path()`` names
+it.
 
 Run this file as a script to print the kernel path and, for each file whose
 digest differs from ``GOLDEN``, the recorded and the current digest::
@@ -77,30 +78,30 @@ GOLDEN = {
         "records.csv": "c2798582e1c6e9430f0003b11d25923a48d6cad18a588a636a68950d2fc13b03",
     },
     "beta-sweep": {
-        "aggregates.csv": "073ed6c7f3e1a9b4da1fe35433d442745438add06f24881474a3182f868de08f",
+        "aggregates.csv": "5b511db34cfa81bc493e04636b617b37ecc9e498fcf0c9def330ef07996163b7",
         "config.txt": "a16bd87947f7d4847aacdc4d8f97dc49603339ac6d045df9c83a9cd77f3f6593",
-        "records.csv": "f54fe9639c64c5547bd4df0df8ce000df702bc7612efc369f1a0159c0fb431af",
+        "records.csv": "1bf0e3347b306065b56bc12b2700979d8fed23934d5636b0d7412647943da4ec",
     },
     "mc --format json": {
         "config.txt": "034d74686aff0549223fa17b8b04a1d1af263b64ec89a01da02ebdb1cd7ee172",
-        "result.json": "bde1cf6c17504c5f5fcbd1651770bf35140d3aa249fb7f930da6afad4d1007bb",
+        "result.json": "6ecea0f0e0956c395f087eaaecd9e5124f2a4ad95b93168e1d6f44bc35551b77",
     },
     "mc": {
-        "aggregates.csv": "a82ee4ec945efa5737d045129528c8fceab1da213988565126ca60f28547df4b",
+        "aggregates.csv": "d5a31944e72ed46c8047e83c68207fcea507183ce24f5786b04b450444ec006c",
         "config.txt": "d9913afa4628f9c23e14564527e04ccda56262e072c1530780024ec7e32366dd",
-        "records.csv": "a1704d44278d9ffe34c1be036b7f36d48c6f3de9929968f3f8c60b10bd7551ae",
-        "table_mc_curve.csv": "f471b2b03e8ad0c5bb840ec18c92a28f4268a31779cb56d87683f4cba50f70de",
+        "records.csv": "b4f5051e9df92c9b27932b21086a3cf4793095a2f55b9953b73a951161512aea",
+        "table_mc_curve.csv": "5b9fb0a26f293df2a990146d710b774acd11e439808a7407607332384145b182",
     },
     "run": {
-        "aggregates.csv": "426faecdaa311423fa079cf9116b509eb56cc4aa3678639f6f058dad4639ffbd",
+        "aggregates.csv": "263f63a0c68e6dedae138a2aad25fe1a8ec8f2a7a96862252f2e9c5f9cda0741",
         "config.txt": "eec80baed5eb2e3d3dfc6f57a3409cf2dfd4c8d263185c594b169809c348c3f0",
-        "records.csv": "d4f801c1d659aa50228c6ff9191d98556522b27ee7ead592bc443e26963cb541",
-        "table_predictions.csv": "5526a0d92fa628dcfe983e926309d5802532e5505d7994bb7cf94c0297a54540",
+        "records.csv": "57eb40b8e029d1a1e6429a37f0b592c77d52156fc2948d1d4b479df44269da3b",
+        "table_predictions.csv": "d785f0a5ff44665d2c1f0c5e1e6eaaafae3133122f951258d511d577a3364181",
     },
     "sparsity": {
-        "aggregates.csv": "34e2724a9ebfb338448a0b7af0df2870a891e92f7f7179728e75df2e79ee4afd",
+        "aggregates.csv": "25d62bcf9b63868d8b90f6ddc5d61eac398aff294ece8d84fa399c16dc6f8490",
         "config.txt": "7a635f664bd95833813926c61f29e58cec74b548fd9d667f7dd928dde732a34b",
-        "records.csv": "8230ba79a9624c1877d3fbfab5c0f3660778ed8213b8b61700d5ad363739223c",
+        "records.csv": "5d42d9c2c2afa1319abbf53306052d8daf1208ed8247e16435ad3f46dfc9e376",
     },
     "spectrum": {
         "aggregates.csv": "28502f004fc24f096054efc8b0d0d133cce708998b4a4232408f51b13bb69a9a",
@@ -108,9 +109,9 @@ GOLDEN = {
         "records.csv": "00c26ad9ee9f34f6eccfae145aef04878fa6927469665781b7efb9d9b41e5a12",
     },
     "sweep": {
-        "aggregates.csv": "dd83517d4f357debece871ca9709754bc98b27ee99dfda683dc2ff0415ff637c",
+        "aggregates.csv": "cac32b4f140e674b1e3239f5706069617ba138b402d81daa2f5e813fce3a0f76",
         "config.txt": "c2c376f76d34a1c82d9b25ea33f2203166ecdb724d91f53e2a1d9e9d87f49660",
-        "records.csv": "a166dbfd6876de6fb3c706e8d98840b697a291529c4afbf268a389d8c3bd3539",
+        "records.csv": "37bdf3a7ed60a1352672fbabc9cc54ca49c44928bcb7261f6176616800856a46",
     },
     "weights": {
         "aggregates.csv": "fee298f90c2e9be88cb415bd0da10893e832fc7ad07293f43e9e9efb7fde61ac",
@@ -123,35 +124,29 @@ GOLDEN = {
 
 
 def kernel_path() -> str:
-    """The kernels that compute the outputs here, beyond the numpy and scipy
-    releases: the core name each bundled OpenBLAS chose for this CPU
-    ("unknown" without the library or its getter), then the dispatch
-    targets numpy found available."""
+    """The kernels that compute the outputs here, beyond the numpy release:
+    the core name numpy's bundled OpenBLAS chose for this CPU ("unknown"
+    without the library or its getter), then the dispatch targets numpy
+    found available."""
     import numpy
-    import scipy.linalg
 
-    def corename(module, getter: str) -> str:
-        libs = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
-        for path in sorted(libs.glob("libscipy_openblas*")):
-            try:
-                get = getattr(ctypes.CDLL(str(path)), getter)
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_char_p
-            return get().decode()
-        return "unknown"
-
+    libs = Path(numpy.__file__).parent.parent / "numpy.libs"
+    core = "unknown"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            get = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_char_p
+        core = get().decode()
+        break
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
         targets = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
     except ImportError:
         targets = ["unknown"]
-    return (
-        f"OpenBLAS core numpy {corename(numpy, 'scipy_openblas_get_corename64_')}, "
-        f"scipy {corename(scipy, 'scipy_openblas_get_corename')}; "
-        f"numpy dispatch {' '.join(targets) or 'none'}"
-    )
+    return f"OpenBLAS core numpy {core}; numpy dispatch {' '.join(targets) or 'none'}"
 
 
 def run_command(

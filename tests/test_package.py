@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -96,3 +99,28 @@ def test_only_the_trial_0_reader_and_the_pipeline_job_make_tasks():
         )
     ]
     assert sorted(callers) == ["_pipeline_job", "_trial0_inputs"]
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # numpy is the one BLAS/LAPACK of a run; scipy is a test oracle only.
+    code = (
+        "import sys\n"
+        "import kuramoto_rc\n"
+        "from kuramoto_rc import cli\n"
+        "flags = ['--n', '20', '--len-adev', '8', '--len-train', '40',\n"
+        "         '--len-test', '10', '--weight-inits', '1,1', '--bins', '5']\n"
+        "for command in ('run', 'weights'):\n"
+        "    outdir = sys.argv[1] + '/' + command\n"
+        "    assert cli.main([command, *flags, '--outdir', outdir]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(kuramoto_rc.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -254,14 +254,23 @@ class TestTrainReadout:
 
     def test_singular_gram_that_factorizes_through_rounding_advises_alpha(self):
         # Two equal columns: X'X is singular in exact arithmetic, but its
-        # rounded Cholesky factor keeps a pivot of 2.6e-9, so the solve
-        # reaches scipy's ill-conditioning warning, not a failed
-        # factorization.
+        # rounded Cholesky factor keeps a pivot of 2.6e-9, so a
+        # factorization alone would not fail; the Gram's condition number
+        # reaches 1/eps.
         X = np.full((3, 2), 0.1)
         scipy.linalg.cholesky(X.T @ X)
-        with pytest.raises(ValueError, match="alpha") as info:
+        assert np.linalg.cond(X.T @ X, 1) >= 1.0 / np.finfo(float).eps
+        with pytest.raises(ValueError, match="alpha"):
             solve_ridge(X, np.ones(3), alpha=0.0)
-        assert isinstance(info.value.__cause__, scipy.linalg.LinAlgWarning)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_input_is_rejected(self, value):
+        states, targets = np.eye(4, 3), np.arange(4.0)
+        bad_states, bad_targets = states.copy(), targets.copy()
+        bad_states[1, 0] = bad_targets[1] = value
+        for X, y in ((bad_states, targets), (states, bad_targets)):
+            with pytest.raises(ValueError, match="finite"):
+                train_readout(X, y, alpha=0.1)
 
     def test_feature_contract_recorded(self):
         rng = np.random.default_rng(4)
