@@ -2,10 +2,12 @@
 tabular output.
 
 Configuration precedence is built-in defaults, then the config file, then
-command-line flags. The resolved configuration is echoed into the output
-directory next to the result tables, and floating-point values are
-serialized with 17 significant digits so reruns can be compared byte for
-byte.
+command-line flags. Flags may come before or after the command; a value
+that starts with ``-`` takes the ``--key=value`` form. Every resolved
+setting but the output directory is echoed into ``config.txt`` next to the
+result tables, and floating-point values are serialized with 17
+significant digits, so the same study writes the same bytes in any
+directory.
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ class _StudyOptions:
 
 @dataclass
 class RunConfig(_StudyOptions, ReservoirConfig, _Command):
-    """Run settings; ``trials`` stays None until ``parse_config`` resolves it.
+    """Run settings; a ``trials`` of None takes the command's default.
 
     Fields are collected in reverse MRO: the command and task, every
     ReservoirConfig field, then the study options; config.txt lists them
@@ -192,12 +194,14 @@ class RunConfig(_StudyOptions, ReservoirConfig, _Command):
             self.outdir = os.environ.get(OUTDIR_ENV, "results")
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}; one of {COMMANDS}")
+        if self.trials is None:
+            self.trials = COMMAND_DEFAULTS[self.command]["trials"]
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
         minima = {"trials": 1, "workers": 1, "bins": 1, "k_max": 1, "length": 2, "seed": 0}
         for key, low in minima.items():
             value = getattr(self, key)
-            if value is not None and value < low:
+            if value < low:
                 raise ValueError(f"{key} must be at least {low}")
         if self.k_max > MC_WASHOUT:
             raise ValueError(
@@ -241,16 +245,6 @@ def _read_config_file(path) -> dict[str, str]:
     return entries
 
 
-def _canonical(entries: dict) -> dict:
-    out = {}
-    for key, value in entries.items():
-        key = KEY_ALIASES.get(key, key)
-        if key not in _PARSERS:
-            raise ValueError(f"unknown config key {key!r}")
-        out[key] = value
-    return out
-
-
 def _convert(key: str, value):
     if isinstance(value, str):
         if value == "":
@@ -270,9 +264,13 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     ``overrides`` (command-line flags). Unknown keys raise immediately so
     typos never pass silently.
     """
-    file_entries = _canonical(_read_config_file(path)) if path else {}
-    override_entries = _canonical(overrides or {})
-    merged = {**file_entries, **override_entries}
+    merged = {}
+    for entries in (_read_config_file(path) if path else {}, overrides or {}):
+        for key, value in entries.items():
+            key = KEY_ALIASES.get(key, key)
+            if key not in _PARSERS:
+                raise ValueError(f"unknown config key {key!r}")
+            merged[key] = value
     # An empty value unsets an optional key, which then keeps its default.
     merged = {k: v for k, v in merged.items() if k not in _OPTIONAL_KEYS or v != ""}
     task = merged.get("task", "narma10")
@@ -371,7 +369,8 @@ def write_result(
     config_path = out / "config.txt"
     with open(config_path, "w", encoding="utf-8") as fh:
         for f in fields(config):
-            fh.write(f"{f.name} = {_format_config_value(getattr(config, f.name))}\n")
+            if f.name != "outdir":
+                fh.write(f"{f.name} = {_format_config_value(getattr(config, f.name))}\n")
     written.append(str(config_path))
     return written
 
@@ -472,29 +471,20 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="kuramoto-rc",
         description="Kuramoto-oscillator reservoir computing experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        p = sub.add_parser(command, help=f"{command} study")
-        p.add_argument("--config", default=None, help="key = value config file")
-        for key in _PARSERS:
-            if key == "command":
-                continue
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
-        p.add_argument("--lambda", dest="lam", default=None)
-        p.add_argument("--rho", dest="spectral_target", default=None)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None, help="key = value config file")
+    for key in [*_PARSERS, *KEY_ALIASES]:
+        if key != "command":
+            parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("config", "command") and value is not None
-    }
-    overrides["command"] = args.command
+    args = vars(_build_parser().parse_args(argv))
+    path = args.pop("config")
+    overrides = {key: value for key, value in args.items() if value is not None}
     try:
-        cfg = parse_config(args.config, overrides)
+        cfg = parse_config(path, overrides)
         return dispatch(cfg)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

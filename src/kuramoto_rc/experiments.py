@@ -618,6 +618,10 @@ def run_weight_distribution_study(
         raise ValueError("weight study needs a 'beta' axis")
     if not initial_params:
         raise ValueError("initial_params must be nonempty")
+    if not all(0 < x < np.inf for pair in initial_params for x in pair):
+        raise ValueError(
+            f"beta shape parameters must be positive and finite, got {initial_params}"
+        )
     steps = spec.base.len_adev
     inputs = _trial0_inputs(spec.task, steps, spec.master_seed, spec.task_kwargs)
     cells = [

@@ -197,8 +197,8 @@ def _draw_live_weights(
             weights = rng.uniform(-1.0, 1.0, n_live)
         else:
             a, b = weight_init
-            if a <= 0 or b <= 0:
-                raise ValueError("beta shape parameters must be positive")
+            if not (0 < a < np.inf and 0 < b < np.inf):
+                raise ValueError("beta shape parameters must be positive and finite")
             weights = 2.0 * rng.beta(a, b, n_live) - 1.0
         net.coupling[net.mask] = weights
     if spectral_target is not None:

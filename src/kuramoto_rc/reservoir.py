@@ -278,7 +278,12 @@ def solve_ridge(X: np.ndarray, Y: np.ndarray, alpha: float) -> np.ndarray:
     rhs = X.T @ Y
     if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
         raise ValueError("ridge features and targets must be finite")
-    if np.linalg.cond(lhs, 1) * np.finfo(float).eps >= 1.0:
+    # For alpha > 0, cond_1(lhs) <= n * trace(lhs) / alpha, so the exact
+    # check, a full inverse, runs only where twice that bound (a margin for
+    # rounding) reaches 1/eps.
+    eps = np.finfo(float).eps
+    bound = 2 * lhs.shape[0] * np.trace(lhs) * eps
+    if bound >= alpha and np.linalg.cond(lhs, 1) * eps >= 1.0:
         raise ValueError("singular normal equations; set ridge alpha > 0")
     return np.linalg.solve(lhs, rhs)
 

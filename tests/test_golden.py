@@ -3,14 +3,14 @@ JSON form, byte for byte.
 
 Each subcommand runs in its own process with BLAS threads pinned to 1,
 once on two workers and once on one. The SHA-256 digest of every file it
-writes must equal the recorded one; ``config.txt`` is hashed without its
-``outdir`` line, which names the temporary directory, and with the worker
-count it echoes read as the recorded two. A refactor that changes any
+writes must equal the recorded one; ``config.txt`` is hashed without an
+``outdir`` line, which older trees wrote and which named the temporary
+directory, and with the worker count it echoes read as the recorded two. A refactor that changes any
 floating-point operation or its order shows up here.
 
 The digests hold on one kernel path: the core numpy's bundled OpenBLAS
 picks for the CPU, and numpy's dispatch targets. ``kernel_path()`` names
-it.
+it, with the thread count OpenBLAS runs with.
 
 Run this file as a script to print the kernel path and, for each file whose
 digest differs from ``GOLDEN``, the recorded and the current digest::
@@ -125,20 +125,25 @@ GOLDEN = {
 
 def kernel_path() -> str:
     """The kernels that compute the outputs here, beyond the numpy release:
-    the core name numpy's bundled OpenBLAS chose for this CPU ("unknown"
-    without the library or its getter), then the dispatch targets numpy
-    found available."""
+    the core name numpy's bundled OpenBLAS chose for this CPU and the
+    thread count it runs with ("unknown" without the library or a getter),
+    then the dispatch targets numpy found available."""
     import numpy
 
     libs = Path(numpy.__file__).parent.parent / "numpy.libs"
-    core = "unknown"
+    core = threads = "unknown"
     for path in sorted(libs.glob("libscipy_openblas*")):
         try:
-            get = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_corename64_
         except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_char_p
         core = get().decode()
+        # Set when the library loads: an OPENBLAS_NUM_THREADS exported
+        # after ``import numpy`` does not change it.
+        count = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        threads = "unknown" if count is None else str(count())
         break
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -146,7 +151,8 @@ def kernel_path() -> str:
         targets = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
     except ImportError:
         targets = ["unknown"]
-    return f"OpenBLAS core numpy {core}; numpy dispatch {' '.join(targets) or 'none'}"
+    dispatch = " ".join(targets) or "none"
+    return f"OpenBLAS core numpy {core} threads {threads}; numpy dispatch {dispatch}"
 
 
 def run_command(
@@ -177,7 +183,8 @@ def run_command(
 
 
 def _content(path: Path) -> bytes:
-    """A file's bytes; for ``config.txt`` without its ``outdir`` line."""
+    """A file's bytes; for ``config.txt`` without an ``outdir`` line, so that
+    ``--parent`` runs against older trees compare equal."""
     data = path.read_bytes()
     if path.name == "config.txt":
         data = b"".join(
@@ -253,6 +260,28 @@ def test_outputs_match_golden(case, workers, tmp_path):
     )
     digests["config.txt"] = hashlib.sha256(echoed).hexdigest()
     assert digests == GOLDEN[case]
+    assert b"\noutdir =" not in (out / "config.txt").read_bytes()
+
+
+def test_kernel_path_names_the_openblas_threads_in_use():
+    import numpy
+
+    libs = Path(numpy.__file__).parent.parent / "numpy.libs"
+    paths = sorted(libs.glob("libscipy_openblas*"))
+    if not paths:
+        pytest.skip("numpy bundles no OpenBLAS")
+    get = ctypes.CDLL(str(paths[0])).scipy_openblas_get_num_threads64_
+    assert f" threads {get()};" in kernel_path()
+    # The variable counts only when it is set before numpy loads OpenBLAS.
+    proc = subprocess.run(
+        [sys.executable, "-c", "from test_golden import kernel_path; print(kernel_path())"],
+        cwd=Path(__file__).parent,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert " threads 1;" in proc.stdout, proc.stderr
 
 
 if __name__ == "__main__":

@@ -91,6 +91,9 @@ class TestInitNetwork:
             init_network(5, 1.5, seed=0)
         with pytest.raises(ValueError):
             init_network(5, 0.5, seed=0, frequency_scale=0.0)
+        for shape in [(0.0, 1.0), (1.0, np.nan), (np.inf, 1.0)]:
+            with pytest.raises(ValueError, match="positive and finite"):
+                init_network(5, 0.5, seed=0, weight_init=shape)
 
     def test_reinitialize_keeps_mask_and_frequencies(self):
         base = init_network(30, 0.2, seed=1)

@@ -263,6 +263,51 @@ class TestTrainReadout:
         with pytest.raises(ValueError, match="alpha"):
             solve_ridge(X, np.ones(3), alpha=0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 6)),
+        kind=st.sampled_from(["random", "repeated column", "zero column", "low rank"]),
+        scale=st.integers(-8, 8),
+        alpha=st.sampled_from([0.0, 1e-12, 1e-3, 1.0]),
+    )
+    def test_the_guard_shortcut_keeps_the_exact_decision(
+        self, seed, shape, kind, scale, alpha
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal(shape)
+        if kind == "repeated column":
+            X[:, -1] = X[:, 0]
+        elif kind == "zero column":
+            X[:, 0] = 0.0
+        elif kind == "low rank":
+            X = np.outer(X[:, 0], rng.standard_normal(shape[1]))
+        X *= 10.0**scale
+        lhs = X.T @ X + alpha * np.eye(shape[1])
+        with np.errstate(all="ignore"):
+            exact = np.linalg.cond(lhs, 1) * np.finfo(float).eps >= 1.0
+        try:
+            solve_ridge(X, np.ones(shape[0]), alpha)
+            raised = False
+        except ValueError as exc:
+            assert "singular" in str(exc)
+            raised = True
+        assert raised == exact
+
+    def test_a_default_pipeline_never_inverts_its_gram(self, monkeypatch):
+        cond = np.linalg.cond
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return cond(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", spy)
+        cfg = ReservoirConfig()
+        result = run_pipeline(cfg, gen_narma10(cfg.len_train + cfg.len_test, seed=8))
+        assert np.isfinite(result.test_mse)
+        assert calls == []
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_input_is_rejected(self, value):
         states, targets = np.eye(4, 3), np.arange(4.0)
