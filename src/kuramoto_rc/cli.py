@@ -43,6 +43,7 @@ from .experiments import (
 )
 from .metrics import MC_WASHOUT
 from .reservoir import ReservoirConfig
+from .tasks import make_task
 
 OUTDIR_ENV = "KURAMOTO_RC_OUTDIR"
 
@@ -180,22 +181,37 @@ class _StudyOptions:
 
 @dataclass
 class RunConfig(_StudyOptions, ReservoirConfig, _Command):
-    """Run settings; a ``trials`` of None takes the command's default.
+    """Run settings; a row field or ``trials`` left None takes the command's
+    row, else the task's, else (``beta``) ReservoirConfig's default.
 
     Fields are collected in reverse MRO: the command and task, every
     ReservoirConfig field, then the study options; config.txt lists them
-    in this order. This ``__post_init__`` replaces ReservoirConfig's, so
-    the reservoir fields are validated by ``reservoir_config()`` alone,
-    which ``spectrum`` never calls.
+    in this order, a redeclared field keeping its base place. This
+    ``__post_init__`` replaces ReservoirConfig's, so the reservoir fields
+    are validated by ``reservoir_config()`` alone, which ``spectrum``
+    never calls.
     """
+
+    len_adev: int | None = None
+    len_train: int | None = None
+    len_test: int | None = None
+    lam: float | None = None
+    beta: float | None = None
 
     def __post_init__(self):
         if not self.outdir:
             self.outdir = os.environ.get(OUTDIR_ENV, "results")
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}; one of {COMMANDS}")
-        if self.trials is None:
-            self.trials = COMMAND_DEFAULTS[self.command]["trials"]
+        row = "file" if self.task.startswith("file:") else self.task
+        if row not in TASK_DEFAULTS:
+            raise ValueError(
+                f"unknown task {self.task!r}; one of narma10, mg17, mso12, file:<path>"
+            )
+        rows = {**TASK_DEFAULTS[row], **COMMAND_DEFAULTS[self.command]}
+        for key, value in {"beta": ReservoirConfig.beta, **rows}.items():
+            if getattr(self, key) is None:
+                setattr(self, key, value)
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
         minima = {"trials": 1, "workers": 1, "bins": 1, "k_max": 1, "length": 2, "seed": 0}
@@ -211,6 +227,8 @@ class RunConfig(_StudyOptions, ReservoirConfig, _Command):
             for key in ("column", "normalize"):
                 if getattr(self, key) is not None:
                     raise ValueError(f"{key} applies only to file: tasks")
+        if self.normalize is not None and not all(map(math.isfinite, self.normalize)):
+            raise ValueError("normalize bounds must be finite")
 
     def reservoir_config(self) -> ReservoirConfig:
         values = {f.name: getattr(self, f.name) for f in fields(ReservoirConfig)}
@@ -227,8 +245,8 @@ _PARSERS = {
     for name, hint in get_type_hints(RunConfig).items()
 }
 
-# Keys whose default is None, echoed as an empty value, which unsets one.
-_OPTIONAL_KEYS = {f.name for f in fields(RunConfig) if f.default is None}
+# Study options whose default is None, echoed as an empty value, which unsets one.
+_OPTIONAL_KEYS = {f.name for f in fields(_StudyOptions) if f.default is None}
 
 
 def _read_config_file(path) -> dict[str, str]:
@@ -248,6 +266,8 @@ def _read_config_file(path) -> dict[str, str]:
 def _convert(key: str, value):
     if isinstance(value, str):
         if value == "":
+            if key in _OPTIONAL_KEYS:
+                return None
             raise ValueError(f"config key {key!r}: empty value")
         try:
             return _PARSERS[key](value)
@@ -257,12 +277,9 @@ def _convert(key: str, value):
 
 
 def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Resolve the run configuration.
-
-    Precedence is built-in defaults (the field defaults, the task's
-    benchmark row, then the command's row), then the config file, then
-    ``overrides`` (command-line flags). Unknown keys raise immediately so
-    typos never pass silently.
+    """Read the run configuration: the config file, then ``overrides``
+    (command-line flags) over it; ``RunConfig`` resolves what neither
+    sets. Unknown keys raise immediately so typos never pass silently.
     """
     merged = {}
     for entries in (_read_config_file(path) if path else {}, overrides or {}):
@@ -271,22 +288,7 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
             if key not in _PARSERS:
                 raise ValueError(f"unknown config key {key!r}")
             merged[key] = value
-    # An empty value unsets an optional key, which then keeps its default.
-    merged = {k: v for k, v in merged.items() if k not in _OPTIONAL_KEYS or v != ""}
-    task = merged.get("task", "narma10")
-    if isinstance(task, str) and task.startswith("file:"):
-        task_key = "file"
-    else:
-        task_key = task
-    if task_key not in TASK_DEFAULTS:
-        raise ValueError(
-            f"unknown task {task!r}; one of narma10, mg17, mso12, file:<path>"
-        )
-    command = merged.get("command", "run")
-    settings = {**TASK_DEFAULTS[task_key], **COMMAND_DEFAULTS.get(command, {})}
-    settings.update(merged)
-    kwargs = {key: _convert(key, value) for key, value in settings.items()}
-    return RunConfig(**kwargs)
+    return RunConfig(**{key: _convert(key, value) for key, value in merged.items()})
 
 
 # Cell formats by exact type. A numpy scalar is unwrapped to its Python
@@ -435,6 +437,8 @@ def dispatch(cfg: RunConfig) -> int:
     Returns 0 only when the study ran without any faulted records.
     """
     command = cfg.command
+    if cfg.task.startswith("file:"):  # an unreadable series fails before any job
+        make_task(cfg.task, 0, **_task_kwargs(cfg))
     if command == "run":
         result = run_single(_sweep_spec(cfg, {"lam": [cfg.lam]}))
     elif command == "spectrum":

@@ -3,7 +3,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +152,12 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key", ["workers", "seed", "lam", "command", "outdir"])
     def test_empty_value_of_a_required_key_names_it(self, key):
+        with pytest.raises(ValueError, match=f"config key '{key}': empty value"):
+            parse_config(None, {key: ""})
+
+    @pytest.mark.parametrize("key", ["len_adev", "len_train", "len_test", "beta"])
+    def test_empty_value_of_a_row_field_names_it(self, key):
+        # A row field defaults to None in RunConfig yet is no optional key.
         with pytest.raises(ValueError, match=f"config key '{key}': empty value"):
             parse_config(None, {key: ""})
 
@@ -774,9 +780,52 @@ class TestMain:
             main(["mc", "--nodes", "-1,0.3"])
         assert "expected one argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", ["nan,1", "0,inf"])
+    def test_non_finite_normalize_bound_is_an_input_error(self, tmp_path, capsys, bounds):
+        path = tmp_path / "series.txt"
+        path.write_text("".join(f"{0.01 * i!r}\n" for i in range(40)))
+        outdir = tmp_path / "out"
+        flags = ["--n", "10", "--len-adev", "5", "--len-train", "30", "--len-test", "5"]
+        flags += ["--task", f"file:{path}", f"--normalize={bounds}"]
+        assert main(["run", *flags, "--outdir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "normalize bounds must be finite" in err
+        assert not outdir.exists()
+        low, high = map(float, bounds.split(","))
+        with pytest.raises(ValueError, match="normalize bounds must be finite"):
+            RunConfig(task=f"file:{path}", normalize=(low, high))
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_an_unreadable_series_fails_before_any_job(self, tmp_path, capsys, command):
+        flags = ["--lambda-grid", "1", "--rho-grid", "0.3", "--density-grid", "0.2"]
+        flags += ["--beta-grid", "0", "--weight-betas", "0", "--weight-inits", "1,1"]
+        missing, outdir = tmp_path / "missing.txt", tmp_path / "out"
+        flags += ["--trials", "2", "--task", f"file:{missing}", "--outdir", str(outdir)]
+        assert main([command, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing.txt" in err
+        assert not outdir.exists()
+
 
 class TestDirectConfig:
     """A ``RunConfig`` built without ``parse_config`` runs as it stands."""
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    @pytest.mark.parametrize("task", ["narma10", "mg17", "mso12", "file:series.csv"])
+    def test_direct_and_parsed_configs_resolve_the_same_rows(self, task, command):
+        parsed = parse_config(None, {"task": task, "command": command})
+        assert asdict(RunConfig(task=task, command=command)) == asdict(parsed)
+
+    def test_an_unknown_task_fails_when_the_config_is_built(self):
+        with pytest.raises(ValueError, match="unknown task 'narma20'"):
+            RunConfig(task="narma20")
+
+    def test_an_explicit_value_equal_to_another_rows_default_is_kept(self):
+        assert RunConfig(task="mg17").lam == 1.0
+        assert RunConfig(task="mg17", lam=4.0).lam == 4.0
+        assert RunConfig(command="astringency").beta == 0.0
+        assert RunConfig(command="astringency", beta=-math.pi / 2).beta == -math.pi / 2
+        assert parse_config(None, {"task": "mg17", "lam": "4"}).lam == 4.0
 
     TINY_STUDY = dict(
         n=10,

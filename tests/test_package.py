@@ -54,6 +54,26 @@ def test_only_run_runs_jobs():
     assert runners == ["_run"]
 
 
+def test_only_run_config_reads_the_default_rows():
+    # RunConfig.__post_init__ alone resolves the task and command rows; the
+    # command list is drawn from the command rows.
+    source = Path(kuramoto_rc.__file__).parent / "cli.py"
+    readers = []
+    for node in ast.parse(source.read_text(encoding="utf-8")).body:
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for scope in node.body if prefix else [node]:
+            if any(
+                isinstance(name, ast.Name)
+                and isinstance(name.ctx, ast.Load)
+                and name.id in ("TASK_DEFAULTS", "COMMAND_DEFAULTS")
+                for name in ast.walk(scope)
+            ):
+                readers.append(
+                    prefix + scope.name if hasattr(scope, "name") else ast.unparse(scope)
+                )
+    assert readers == ["COMMANDS = tuple(COMMAND_DEFAULTS)", "RunConfig.__post_init__"]
+
+
 def test_only_make_result_builds_tables():
     # Jobs return their tables' columns as arrays; one function keys and
     # stores them. Methods of _BlockRows itself are not module-level.
