@@ -43,7 +43,6 @@ from .experiments import (
 )
 from .metrics import MC_WASHOUT
 from .reservoir import ReservoirConfig
-from .tasks import make_task
 
 OUTDIR_ENV = "KURAMOTO_RC_OUTDIR"
 
@@ -437,8 +436,6 @@ def dispatch(cfg: RunConfig) -> int:
     Returns 0 only when the study ran without any faulted records.
     """
     command = cfg.command
-    if cfg.task.startswith("file:"):  # an unreadable series fails before any job
-        make_task(cfg.task, 0, **_task_kwargs(cfg))
     if command == "run":
         result = run_single(_sweep_spec(cfg, {"lam": [cfg.lam]}))
     elif command == "spectrum":

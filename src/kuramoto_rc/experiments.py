@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .metrics import beta_fit, matrix_distance, memory_capacity, weight_histogram
-from .network import develop, order_parameter, reinitialize_weights
-from .reservoir import ReservoirConfig, run_pipeline
+from .network import order_parameter, reinitialize_weights
+from .reservoir import ReservoirConfig, drive, run_pipeline
 from .tasks import make_task, release_generated_tasks, spectrum
 
 # Seed-stream tags; fixed so derived seeds never change between versions.
@@ -391,6 +391,15 @@ def _pipeline_job(payload: dict) -> dict:
     return {**record, "tables": tables}
 
 
+def _run_pipelines(spec: SweepSpec, plan: list, values) -> list[dict]:
+    """``_run`` of the pipeline job over a plan. A ``file:`` series is read
+    first, at the plan's longest span, so one too short fails before any job."""
+    if spec.task.startswith("file:"):
+        stop = max((payload["cfg"].test_span.stop for payload, _ in plan), default=0)
+        _trial0_inputs(spec.task, stop, spec.master_seed, spec.task_kwargs)
+    return _run(_pipeline_job, plan, values, spec.workers)
+
+
 def run_grid_sweep(spec: SweepSpec) -> ExperimentResult:
     """Pipeline error and post-development synchrony over a parameter grid.
 
@@ -408,7 +417,7 @@ def _grid_sweep(spec: SweepSpec, quartiles: bool = False, **extra) -> Experiment
     group = ["cell_index", *spec.axes]
     cells = [(ci, {"cell_index": ci, **cell}) for ci, cell in enumerate(spec.cells())]
     plan = _plan(spec, cells, **extra)
-    records = _run(_pipeline_job, plan, _PIPELINE_VALUES, spec.workers)
+    records = _run_pipelines(spec, plan, _PIPELINE_VALUES)
     tables = {}
     if extra.get("predictions"):
         tables["predictions"] = ["step", "target", "prediction"]
@@ -445,7 +454,7 @@ def run_mc_study(
         (ni, {"node_index": ni, "lam": lam, "spectral_target": rho})
         for ni, (lam, rho) in enumerate(sample_nodes)
     ]
-    records = _run(_pipeline_job, _plan(spec, cells, k_max=k_max), values, spec.workers)
+    records = _run_pipelines(spec, _plan(spec, cells, k_max=k_max), values)
     tables = {"mc_curve": key_columns + ["delay", "coefficient"]}
     value_columns = ["test_mse", "order_r", "mc_total"]
     return _make_result(records, key_columns, values, group, value_columns, tables=tables)
@@ -465,7 +474,7 @@ def run_sparsity_sweep(spec: SweepSpec) -> ExperimentResult:
         for di, density in enumerate(densities)
         for adaptive in (True, False)
     ]
-    records = _run(_pipeline_job, _plan(spec, cells), _PIPELINE_VALUES, spec.workers)
+    records = _run_pipelines(spec, _plan(spec, cells), _PIPELINE_VALUES)
     group = ["density_index", "density", "adaptive"]
     return _make_result(
         records, group + ["trial"], _PIPELINE_VALUES, group, ["test_mse", "train_mse"]
@@ -509,7 +518,7 @@ def _astringency_job(payload: dict) -> dict:
         cfg.build_network(), value_seed, spectral_target=cfg.spectral_target
     )
     initial = net.coupling
-    develop(net, payload["inputs"], cfg.spectral_target)
+    drive(net, payload["inputs"], cfg.spectral_target)
     return {"initial": initial, "developed": net.coupling}
 
 
@@ -579,7 +588,7 @@ def _weight_job(payload: dict) -> dict:
     def on_step(step, current):
         snapshots[step - 1] = weight_histogram(current.coupling, current.mask, bins)[1]
 
-    develop(net, inputs, cfg.spectral_target, on_step)
+    drive(net, inputs, cfg.spectral_target, on_step)
     centers, final_counts = weight_histogram(net.coupling, net.mask, bins)
     steps = np.arange(1, len(inputs) + 1)[:, None]
     out = {

@@ -82,8 +82,7 @@ def memory_capacity(
     rng = np.random.default_rng(seed)
     total = MC_WASHOUT + MC_COLLECT
     s = rng.uniform(-0.5, 0.5, total)
-    drive(net, s[:MC_WASHOUT])
-    states = drive(net, s[MC_WASHOUT:])
+    states = drive(net, s)[MC_WASHOUT:]
     feats = build_features(states, cfg)
 
     X_train, X_eval = feats[:MC_TRAIN], feats[MC_TRAIN:]

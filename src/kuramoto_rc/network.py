@@ -388,34 +388,9 @@ def rescale_to_radius(net: OscillatorNetwork, target: float) -> np.ndarray:
     return net.coupling
 
 
-# The development loop's rescale. The name stays because the benchmark
-# tracer looks it up; being the same object, it is wrapped once under both
-# names, so each rescale is one traced span.
+# Another name for the rescale, kept only because the benchmark tracer looks
+# it up; being the same object, it is wrapped once under both names.
 _rescale_warm = rescale_to_radius
-
-
-def develop(
-    net: OscillatorNetwork,
-    inputs: np.ndarray,
-    target: float,
-    on_step=None,
-) -> OscillatorNetwork:
-    """Development stage: phases and coupling co-evolve under the input.
-
-    Each input value drives one step: a phase step, a coupling step, then
-    a rescale of the coupling to spectral radius ``target``.
-    ``on_step(i, net)``, if given, is called after step i = 1, 2, ...
-    Returns ``net``, updated in place.
-    """
-    if target <= 0:
-        raise ValueError("target spectral radius must be positive")
-    for i, u in enumerate(inputs, start=1):
-        phase_step(net, u)
-        coupling_step(net)
-        _rescale_warm(net, target)
-        if on_step is not None:
-            on_step(i, net)
-    return net
 
 
 def order_parameter(phases: np.ndarray) -> tuple[float, float]:

@@ -5,7 +5,8 @@ drive it with the task input while the coupling weights adapt (the
 development stage, replacing the usual washout), collect phase states and
 fit a linear readout by ridge regression, then step through the test span
 with the true input while the coupling stays frozen, predicting one step
-ahead from each new state.
+ahead from each new state. ``drive`` is the one loop that steps a network
+in every stage; it adapts the coupling only when given a target radius.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .network import OscillatorNetwork, develop, init_network, phase_step
+from .network import (
+    OscillatorNetwork,
+    coupling_step,
+    init_network,
+    phase_step,
+    rescale_to_radius,
+)
 
 # Rows of trig features centred together; bounds the centring scratch.
 CENTRE_BLOCK = 256
@@ -225,13 +232,28 @@ def build_features(
     return out
 
 
-def drive(net: OscillatorNetwork, inputs: np.ndarray) -> np.ndarray:
-    """Drive the frozen network, the frozen twin of ``network.develop``: one
-    phase step per input, the coupling untouched. Returns the phases after
-    each step, one row per input."""
+def drive(
+    net: OscillatorNetwork,
+    inputs: np.ndarray,
+    target: float | None = None,
+    on_step=None,
+) -> np.ndarray:
+    """Step the network once per input: a phase step, then, when ``target``
+    is given, a coupling step and a rescale of the coupling to spectral
+    radius ``target`` (the development stage); without one the coupling
+    stays frozen. ``on_step(i, net)``, if given, is called after step
+    i = 1, 2, ... Returns the phases after each step, one row per input;
+    ``net`` is updated in place."""
+    if target is not None and target <= 0:
+        raise ValueError("target spectral radius must be positive")
     states = np.empty((len(inputs), net.n))
-    for row, u in enumerate(inputs):
-        states[row] = phase_step(net, u)
+    for i, u in enumerate(inputs, start=1):
+        states[i - 1] = phase_step(net, u)
+        if target is not None:
+            coupling_step(net)
+            rescale_to_radius(net, target)
+        if on_step is not None:
+            on_step(i, net)
     return states
 
 
@@ -259,10 +281,7 @@ def develop_and_collect(
         n_dev = cfg.len_adev
     else:
         n_dev = max(cfg.len_adev - 1, 0)
-    if cfg.adaptive:
-        develop(net, data.inputs[:n_dev], cfg.spectral_target)
-    else:
-        drive(net, data.inputs[:n_dev])
+    drive(net, data.inputs[:n_dev], cfg.spectral_target if cfg.adaptive else None)
     dev_phases = net.phases.copy()
     states = drive(net, data.inputs[n_dev:total])
     targets = data.targets[n_dev:total].copy()

@@ -806,6 +806,21 @@ class TestMain:
         assert err.startswith("error:") and "missing.txt" in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_a_series_too_short_for_the_study_fails_before_any_job(
+        self, tmp_path, capsys, command
+    ):
+        # 40 values give 39 pairs, fewer than any study here reads.
+        path, outdir = tmp_path / "short.txt", tmp_path / "out"
+        path.write_text("".join(f"{0.01 * i!r}\n" for i in range(40)))
+        flags = ["--lambda-grid", "1", "--rho-grid", "0.3", "--density-grid", "0.2"]
+        flags += ["--beta-grid", "0", "--weight-betas", "0", "--weight-inits", "1,1"]
+        flags += ["--trials", "2", "--task", f"file:{path}", "--outdir", str(outdir)]
+        assert main([command, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "required" in err
+        assert not outdir.exists()
+
 
 class TestDirectConfig:
     """A ``RunConfig`` built without ``parse_config`` runs as it stands."""

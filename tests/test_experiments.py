@@ -19,8 +19,8 @@ from kuramoto_rc.experiments import (
     _TASK_STREAM,
 )
 from kuramoto_rc import experiments, tasks
-from kuramoto_rc.network import develop, init_network
-from kuramoto_rc.reservoir import ReservoirConfig, run_pipeline
+from kuramoto_rc.network import init_network
+from kuramoto_rc.reservoir import ReservoirConfig, drive, run_pipeline
 from kuramoto_rc.tasks import make_task
 
 
@@ -206,13 +206,16 @@ class TestGridSweep:
         assert run_pipeline(cfg, data).test_mse == record["test_mse"]
 
     def test_faults_recorded_not_raised(self):
+        # Each job's phases overflow in development. A missing series file
+        # is an input error instead: it is read before any job.
         spec = SweepSpec(
-            task="file:/nonexistent/series.txt",
-            base=tiny_base(),
-            axes={"lam": [1.0, 2.0]},
+            base=diverging_base(),
+            axes={"lam": [1e308, 1.5e308]},
             trials=1,
             master_seed=2,
         )
+        with pytest.raises(FileNotFoundError):
+            run_grid_sweep(replace(spec, task="file:/nonexistent/series.txt"))
         result = run_grid_sweep(spec)
         assert result.n_faults == 2
         assert all(rec["fault"] for rec in result.records)
@@ -557,13 +560,13 @@ class TestFaultIsolation:
     def test_astringency_fault_stays_with_its_trial(self, monkeypatch):
         calls = []
 
-        def develop_failing_second(net, inputs, target, on_step=None):
+        def drive_failing_second(net, inputs, target=None, on_step=None):
             calls.append(None)
             if len(calls) == 2:
                 raise FloatingPointError("injected")
-            return develop(net, inputs, target, on_step)
+            return drive(net, inputs, target, on_step)
 
-        monkeypatch.setattr(experiments, "develop", develop_failing_second)
+        monkeypatch.setattr(experiments, "drive", drive_failing_second)
         spec = SweepSpec(base=tiny_base(beta=0.0), axes={"density": [0.3]}, trials=3)
         first, second = run_astringency(spec).records
         assert first["fault"] == "FloatingPointError: injected"

@@ -54,6 +54,25 @@ def test_only_run_runs_jobs():
     assert runners == ["_run"]
 
 
+def test_only_drive_steps_a_network():
+    # reservoir.drive is the one loop that steps a network: no other
+    # function of the package loads either step kernel.
+    package = Path(kuramoto_rc.__file__).parent
+    steppers = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(name, ast.Name)
+            and isinstance(name.ctx, ast.Load)
+            and name.id in ("phase_step", "coupling_step")
+            for name in ast.walk(node)
+        )
+    ]
+    assert steppers == ["reservoir.drive"]
+
+
 def test_only_run_config_reads_the_default_rows():
     # RunConfig.__post_init__ alone resolves the task and command rows; the
     # command list is drawn from the command rows.

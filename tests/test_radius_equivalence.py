@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 import kuramoto_rc.network as netmod
+import kuramoto_rc.reservoir as reservoir
 from kuramoto_rc import ReservoirConfig, SweepSpec, make_task, run_grid_sweep
 
 LAMBDAS = (0.5, 2.0, 4.0, 8.0)
@@ -161,7 +162,7 @@ def development_stream():
     """Coupling matrices as each rescale of a development sees them, one
     list per (lambda, rho) cell of the benchmark landscape."""
     streams = []
-    rescale = netmod._rescale_warm
+    rescale = reservoir.rescale_to_radius
     for lam in LAMBDAS:
         for rho in RHOS:
             cfg = ReservoirConfig(lam=lam, spectral_target=rho, seed=11)
@@ -172,11 +173,11 @@ def development_stream():
                 stream.append(net.coupling.copy())
                 rescale(net, target)
 
-            netmod._rescale_warm = capture
+            reservoir.rescale_to_radius = capture
             try:
-                netmod.develop(cfg.build_network(), inputs, rho)
+                reservoir.drive(cfg.build_network(), inputs, rho)
             finally:
-                netmod._rescale_warm = rescale
+                reservoir.rescale_to_radius = rescale
             streams.append(stream)
     return streams
 

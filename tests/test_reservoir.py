@@ -7,7 +7,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kuramoto_rc.network import TWO_PI, order_parameter, phase_step
+from kuramoto_rc.network import (
+    TWO_PI,
+    coupling_step,
+    order_parameter,
+    phase_step,
+    rescale_to_radius,
+)
 from kuramoto_rc.reservoir import (
     CENTRE_BLOCK,
     ReservoirConfig,
@@ -86,17 +92,32 @@ class TestConfig:
 
 
 class TestDrive:
-    def test_rows_are_successive_phase_steps(self):
+    @pytest.mark.parametrize("target", [None, 0.3], ids=["frozen", "adaptive"])
+    def test_rows_are_successive_phase_steps(self, target):
+        # Frozen, each row is one phase step. With a target, each row is the
+        # phases on_step sees, and the coupling replays phase step, coupling
+        # step and rescale by hand.
         cfg = small_cfg()
         inputs = gen_narma10(40, seed=6).inputs
         net, replay = cfg.build_network(), cfg.build_network()
         coupling = net.coupling.copy()
-        states = drive(net, inputs)
+        seen = []
+
+        def on_step(i, current):
+            seen.append((i, current.phases.copy()))
+
+        states = drive(net, inputs, target, on_step)
         assert states.shape == (40, cfg.n)
-        for row, u in zip(states, inputs):
+        assert [i for i, _ in seen] == list(range(1, 41))
+        for row, u, (_, phases) in zip(states, inputs, seen):
             assert np.array_equal(row, phase_step(replay, u))
+            assert np.array_equal(row, phases)
+            if target is not None:
+                coupling_step(replay)
+                rescale_to_radius(replay, target)
         assert np.array_equal(net.phases, replay.phases)
-        assert np.array_equal(net.coupling, coupling)
+        assert np.array_equal(net.coupling, replay.coupling)
+        assert np.array_equal(net.coupling, coupling) == (target is None)
 
     def test_empty_inputs_leave_phases(self):
         net = small_cfg().build_network()
@@ -167,7 +188,7 @@ class TestDevelopAndCollect:
     def test_developed_coupling_converges_across_value_seeds(self):
         # same mask, frequencies, and input; only the initial live weights
         # differ: development pulls the matrices together
-        from kuramoto_rc.network import develop, init_network, reinitialize_weights
+        from kuramoto_rc.network import init_network, reinitialize_weights
         from kuramoto_rc.metrics import matrix_distance
 
         cfg = ReservoirConfig(len_adev=100, len_train=150, len_test=10, beta=0.0)
@@ -188,10 +209,9 @@ class TestDevelopAndCollect:
         initial = matrix_distance(nets[0].coupling, nets[1].coupling, "absolute")
         # The development develop_and_collect runs: len_adev - 1 steps.
         steps = data.inputs[: cfg.len_adev - 1]
-        developed = [develop(n, steps, cfg.spectral_target) for n in nets]
-        final = matrix_distance(
-            developed[0].coupling, developed[1].coupling, "absolute"
-        )
+        for net in nets:
+            drive(net, steps, cfg.spectral_target)
+        final = matrix_distance(nets[0].coupling, nets[1].coupling, "absolute")
         assert final < initial
 
     def test_dev_phases_snapshot(self):
